@@ -495,10 +495,7 @@ func BenchmarkServeRPC(b *testing.B) {
 			Ops: []model.Op{{Name: "op", TimeMs: 0.01}},
 		},
 	}
-	srv, err := serve.NewServer(serve.Config{
-		Catalog:   policy.NewCatalog(graphs, nil),
-		TimeScale: 0.001,
-	})
+	srv, err := serve.New(policy.NewCatalog(graphs, nil), serve.WithTimeScale(0.001))
 	if err != nil {
 		b.Fatal(err)
 	}

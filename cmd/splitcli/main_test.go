@@ -21,12 +21,8 @@ func startTestServer(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := serve.NewServer(serve.Config{
-		Catalog:   dep.Catalog,
-		Alpha:     4,
-		Elastic:   sched.DefaultElastic(),
-		TimeScale: 0.01,
-	})
+	srv, err := serve.New(dep.Catalog,
+		serve.WithAlpha(4), serve.WithElastic(sched.DefaultElastic()), serve.WithTimeScale(0.01))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -232,23 +232,24 @@ func run(args []string, out io.Writer, ready, adminReady chan<- string, stop <-c
 	if *noElastic {
 		elastic.Enabled = false
 	}
-	cfg := serve.Config{
-		Catalog:          catalog,
-		Alpha:            *alpha,
-		Elastic:          elastic,
-		TimeScale:        *timescale,
-		MaxQueue:         *maxQueue,
-		QoSWindow:        *qosWindow,
-		EnforceDeadlines: *deadlines,
-		PredictiveShed:   *predictive,
-		Devices:          *devices,
-		Placement:        *placement,
-		BatchMax:         *batchMax,
-		Partitions:       *partitions,
-		PartitionCost:    gpusim.PartitionCost{Beta: *partBeta},
-		PartitionWidth:   *partWidth,
-		Fleet:            autoscale,
-		Admission:        admission,
+	opts := []serve.Option{
+		serve.WithAlpha(*alpha),
+		serve.WithElastic(elastic),
+		serve.WithTimeScale(*timescale),
+		serve.WithMaxQueue(*maxQueue),
+		serve.WithQoSWindow(*qosWindow),
+		serve.WithPredictiveShed(*predictive),
+		serve.WithDevices(*devices),
+		serve.WithPlacement(*placement),
+		serve.WithBatching(*batchMax),
+		serve.WithPartitions(*partitions),
+		serve.WithPartitionCost(gpusim.PartitionCost{Beta: *partBeta}),
+		serve.WithPartitionWidth(*partWidth),
+		serve.WithFleet(autoscale),
+		serve.WithAdmission(admission),
+	}
+	if *deadlines {
+		opts = append(opts, serve.WithDeadlines(0))
 	}
 	if *batchMax > 1 {
 		fmt.Fprintf(out, "micro-batching on: up to %d same-model requests per block\n", *batchMax)
@@ -263,17 +264,17 @@ func run(args []string, out io.Writer, ready, adminReady chan<- string, stop <-c
 	var rec *workload.Recorder
 	if *record != "" {
 		rec = workload.NewRecorder()
-		cfg.ArrivalRecorder = rec
+		opts = append(opts, serve.WithArrivalRecorder(rec))
 		fmt.Fprintf(out, "recording arrivals to %s\n", *record)
 	}
 	if *spikeProb > 0 || *failProb > 0 {
-		cfg.Faults = &gpusim.FaultInjector{
+		opts = append(opts, serve.WithFaults(&gpusim.FaultInjector{
 			Seed:        *faultSeed,
 			SpikeProb:   *spikeProb,
 			SpikeFactor: *spikeFactor,
 			FailProb:    *failProb,
 			MaxRetries:  *faultRetry,
-		}
+		}))
 		fmt.Fprintf(out, "fault injection on: spike p=%.3f ×%.1f, fail p=%.3f, retries=%d\n",
 			*spikeProb, *spikeFactor, *failProb, *faultRetry)
 	}
@@ -284,10 +285,9 @@ func run(args []string, out io.Writer, ready, adminReady chan<- string, stop <-c
 	if *adminAddr != "" {
 		reg = obs.NewRegistry()
 		ring = trace.NewRing(*ringCap)
-		cfg.Obs = reg
-		cfg.Sink = ring
+		opts = append(opts, serve.WithObs(reg), serve.WithSink(ring))
 	}
-	srv, err := serve.NewServer(cfg)
+	srv, err := serve.New(catalog, opts...)
 	if err != nil {
 		return err
 	}

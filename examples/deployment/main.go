@@ -63,12 +63,8 @@ func main() {
 		}
 		graphs[name] = g
 	}
-	srv, err := serve.NewServer(serve.Config{
-		Catalog:   policy.NewCatalog(graphs, loaded),
-		Alpha:     4,
-		Elastic:   sched.DefaultElastic(),
-		TimeScale: 0.05,
-	})
+	srv, err := serve.New(policy.NewCatalog(graphs, loaded),
+		serve.WithAlpha(4), serve.WithElastic(sched.DefaultElastic()), serve.WithTimeScale(0.05))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -22,21 +22,19 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv, err := split.NewServer(split.ServerConfig{
-		Catalog:          dep.Catalog,
-		Alpha:            4,
-		Elastic:          sched.DefaultElastic(),
-		TimeScale:        0.05, // 20x faster than the simulated device
-		EnforceDeadlines: true, // every request gets deadline = arrive + α·t_ext
-		PredictiveShed:   true, // shed work that cannot finish in time, even early
-		Faults: &gpusim.FaultInjector{
+	srv, err := split.NewServerWith(dep.Catalog,
+		split.WithElastic(sched.DefaultElastic()),
+		split.WithTimeScale(0.05),      // 20x faster than the simulated device
+		split.WithDeadlines(4),         // every request gets deadline = arrive + α·t_ext, α = 4
+		split.WithPredictiveShed(true), // shed work that cannot finish in time, even early
+		split.WithFaults(&gpusim.FaultInjector{
 			Seed:        7,
 			SpikeProb:   0.05,
 			SpikeFactor: 3,
 			FailProb:    0.02,
 			MaxRetries:  2,
-		},
-	})
+		}),
+	)
 	if err != nil {
 		log.Fatal(err)
 	}

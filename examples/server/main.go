@@ -21,12 +21,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv, err := split.NewServer(split.ServerConfig{
-		Catalog:   dep.Catalog,
-		Alpha:     4,
-		Elastic:   sched.DefaultElastic(),
-		TimeScale: 0.05, // 20x faster than the simulated device
-	})
+	srv, err := split.NewServerWith(dep.Catalog,
+		split.WithAlpha(4),
+		split.WithElastic(sched.DefaultElastic()),
+		split.WithTimeScale(0.05), // 20x faster than the simulated device
+	)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -324,7 +324,7 @@ func directiveArg(cg *ast.CommentGroup, name string) (arg string, pos token.Pos,
 			continue
 		}
 		if rest != "" && !strings.HasPrefix(rest, " ") && !strings.HasPrefix(rest, "\t") {
-			continue // a longer directive name, e.g. lint:mirror-exempt vs lint:mirror
+			continue // a longer directive name sharing this one as a prefix
 		}
 		return strings.TrimSpace(rest), c.Pos(), true
 	}

@@ -30,7 +30,7 @@ func TestBatchingDisabledIdentity(t *testing.T) {
 	catalog := synthCatalog()
 	arrivals := fleetArrivals()
 	build := func(devices, batchMax int) *Split {
-		return &Split{
+		return &Split{Config: Config{
 			Alpha:            4,
 			Elastic:          sched.DefaultElastic(),
 			EnforceDeadlines: true,
@@ -39,7 +39,7 @@ func TestBatchingDisabledIdentity(t *testing.T) {
 			Devices:          devices,
 			BatchMax:         batchMax,
 			BatchCost:        gpusim.DefaultBatchCost(),
-		}
+		}}
 	}
 	for _, devices := range []int{1, 2} {
 		baseTr := trace.New()
@@ -72,7 +72,7 @@ func TestBatchingCoalescesBurst(t *testing.T) {
 	arrivals := batchBurst("short", 8)
 	run := func(batchMax int) ([]Record, *trace.Tracer) {
 		tr := trace.New()
-		s := &Split{Alpha: 4, Elastic: sched.DefaultElastic(), BatchMax: batchMax}
+		s := &Split{Config: Config{Alpha: 4, Elastic: sched.DefaultElastic(), BatchMax: batchMax}}
 		return s.Run(arrivals, catalog, tr), tr
 	}
 	serialRecs, _ := run(1)
@@ -159,7 +159,7 @@ func TestBatchingCancelMidBatch(t *testing.T) {
 		{ID: 2, Model: "long", AtMs: 1, CancelAtMs: 65},
 	}
 	tr := trace.New()
-	s := &Split{Alpha: 4, BatchMax: 3} // elastic off: both longs keep their split plan
+	s := &Split{Config: Config{Alpha: 4, BatchMax: 3}} // elastic off: both longs keep their split plan
 	recs := s.Run(arrivals, catalog, tr)
 	if len(recs) != len(arrivals) {
 		t.Fatalf("%d records for %d arrivals", len(recs), len(arrivals))
@@ -207,7 +207,7 @@ func TestElasticInflightSimBoundary(t *testing.T) {
 			arrivals = append(arrivals, workload.Arrival{ID: i, Model: "long", AtMs: float64(i)})
 		}
 		tr := trace.New()
-		s := &Split{Alpha: 4, Elastic: elastic, Devices: devices}
+		s := &Split{Config: Config{Alpha: 4, Elastic: elastic, Devices: devices}}
 		s.Run(arrivals, catalog, tr)
 		got := map[int]string{}
 		for _, e := range tr.Events() {

@@ -43,14 +43,14 @@ func FuzzPlacement(f *testing.F) {
 				}
 			}
 		}
-		s := &Split{
+		s := &Split{Config: Config{
 			Alpha:            4,
 			Elastic:          sched.DefaultElastic(),
 			EnforceDeadlines: lifecycle,
 			Devices:          devices,
 			Placement:        placement,
 			Faults:           &gpusim.FaultInjector{Seed: seed, SpikeProb: 0.1, SpikeFactor: 1.5, FailProb: 0.05, MaxRetries: 1},
-		}
+		}}
 		tr := trace.New()
 		recs := s.Run(arrivals, catalog, tr)
 		assertFleetInvariants(t, placement, arrivals, recs, tr, devices)

@@ -19,7 +19,7 @@ func TestPartitionDisabledIdentity(t *testing.T) {
 	catalog := synthCatalog()
 	arrivals := fleetArrivals()
 	build := func(partitions int, placement string) *Split {
-		return &Split{
+		return &Split{Config: Config{
 			Alpha:            4,
 			Elastic:          sched.DefaultElastic(),
 			EnforceDeadlines: true,
@@ -28,7 +28,7 @@ func TestPartitionDisabledIdentity(t *testing.T) {
 			Devices:          2,
 			Placement:        placement,
 			Partitions:       partitions,
-		}
+		}}
 	}
 	for _, placement := range place.Names() {
 		baseTr := trace.New()
@@ -61,11 +61,11 @@ func TestPartitionLanesOverlapInVirtualTime(t *testing.T) {
 		{ID: 1, Model: "huge", AtMs: 0},
 	}
 	tr := trace.New()
-	s := &Split{
+	s := &Split{Config: Config{
 		Alpha: 4, Elastic: sched.DefaultElastic(),
 		Devices: 1, Placement: place.RoundRobin,
 		Partitions: 2, PartitionWidth: place.WidthFixed,
-	}
+	}}
 	recs := s.Run(arrivals, catalog, tr)
 	if len(recs) != 2 {
 		t.Fatalf("%d records for 2 arrivals", len(recs))
@@ -104,11 +104,11 @@ func TestPartitionSpeedsUpSameTypeBurst(t *testing.T) {
 		arrivals = append(arrivals, workload.Arrival{ID: i, Model: "huge", AtMs: float64(i)})
 	}
 	makespan := func(partitions int, width string) float64 {
-		s := &Split{
+		s := &Split{Config: Config{
 			Alpha: 4, Elastic: sched.DefaultElastic(),
 			Devices: 1, Placement: place.RoundRobin,
 			Partitions: partitions, PartitionWidth: width,
-		}
+		}}
 		last := 0.0
 		for _, r := range s.Run(arrivals, catalog, nil) {
 			if !r.Served() {
@@ -143,12 +143,12 @@ func TestPartitionCostKnobFlowsThrough(t *testing.T) {
 		{ID: 0, Model: "huge", AtMs: 0},
 		{ID: 1, Model: "huge", AtMs: 0},
 	}
-	s := &Split{
+	s := &Split{Config: Config{
 		Alpha: 4, Elastic: sched.DefaultElastic(),
 		Devices: 1, Placement: place.RoundRobin,
 		Partitions: 2, PartitionWidth: place.WidthFixed,
 		PartitionCost: gpusim.PartitionCost{Beta: 1},
-	}
+	}}
 	for _, r := range s.Run(arrivals, catalog, nil) {
 		if r.DoneMs < 119 || r.DoneMs > 121 {
 			t.Fatalf("Beta=1 req %d finished at %.2fms, want ~120 (no concurrency gain)", r.ID, r.DoneMs)

@@ -13,6 +13,7 @@ import (
 	"sort"
 
 	"split/internal/model"
+	"split/internal/sched"
 	"split/internal/trace"
 	"split/internal/workload"
 )
@@ -150,5 +151,22 @@ func validateArrivals(arrivals []workload.Arrival, catalog Catalog) {
 		if _, ok := catalog[a.Model]; !ok {
 			panic(fmt.Sprintf("policy: arrival %d references unknown model %q", a.ID, a.Model))
 		}
+	}
+}
+
+// NewRecord is the Record of a request decided at doneMs with outcome.
+func NewRecord(r *sched.Request, doneMs float64, outcome string) Record {
+	return Record{
+		ID:          r.ID,
+		Model:       r.Model,
+		Class:       r.Class,
+		ArriveMs:    r.ArriveMs,
+		StartMs:     r.StartMs,
+		DoneMs:      doneMs,
+		ExtMs:       r.ExtMs,
+		Preemptions: r.Preemptions,
+		Split:       len(r.BlockTimes) > 1,
+		Outcome:     outcome,
+		Device:      r.Device,
 	}
 }

@@ -16,10 +16,10 @@ import (
 func TestSplitRunFoldsToCleanSpans(t *testing.T) {
 	catalog := synthCatalog()
 	variants := map[string]*Split{
-		"single":    {Alpha: 4},
-		"deadlines": {Alpha: 4, EnforceDeadlines: true, PredictiveShed: true},
-		"fleet":     {Alpha: 4, Devices: 3},
-		"batching":  {Alpha: 4, Devices: 2, BatchMax: 4},
+		"single":    {Config: Config{Alpha: 4}},
+		"deadlines": {Config: Config{Alpha: 4, EnforceDeadlines: true, PredictiveShed: true}},
+		"fleet":     {Config: Config{Alpha: 4, Devices: 3}},
+		"batching":  {Config: Config{Alpha: 4, Devices: 2, BatchMax: 4}},
 	}
 	for name, sys := range variants {
 		t.Run(name, func(t *testing.T) {

@@ -67,7 +67,7 @@ func runBatchScenario(t *testing.T, srv *Server) []error {
 // block events, batch metrics registered and counted — and every member is
 // delivered.
 func TestServeBatchingCoalesces(t *testing.T) {
-	srv, reg, ring := startLifecycle(t, func(c *Config) { c.BatchMax = 3 })
+	srv, reg, ring := startLifecycle(t, WithBatching(3))
 	for i, err := range runBatchScenario(t, srv) {
 		if err != nil {
 			t.Fatalf("request %d: %v", i, err)
@@ -111,7 +111,7 @@ func TestServeBatchingCoalesces(t *testing.T) {
 // the same scenario emits no batch ids and the /metrics output contains no
 // split_batch families at all — the observability surface is unchanged.
 func TestServeBatchingDisabledKeepsSurface(t *testing.T) {
-	srv, reg, ring := startLifecycle(t, nil)
+	srv, reg, ring := startLifecycle(t)
 	for i, err := range runBatchScenario(t, srv) {
 		if err != nil {
 			t.Fatalf("request %d: %v", i, err)
@@ -147,7 +147,7 @@ func TestSimServeBatchingParity(t *testing.T) {
 	}
 	for _, batchMax := range []int{1, 2, 3} {
 		tr := trace.New()
-		sim := &policy.Split{Alpha: 4, Elastic: sched.DefaultElastic(), BatchMax: batchMax}
+		sim := &policy.Split{Config: policy.Config{Alpha: 4, Elastic: sched.DefaultElastic(), BatchMax: batchMax}}
 		recs := sim.Run(arrivals, catalog, tr)
 		for _, r := range recs {
 			if !r.Served() {
@@ -155,7 +155,7 @@ func TestSimServeBatchingParity(t *testing.T) {
 			}
 		}
 
-		srv, _, ring := startLifecycle(t, func(c *Config) { c.BatchMax = batchMax })
+		srv, _, ring := startLifecycle(t, WithBatching(batchMax))
 		for i, err := range runBatchScenario(t, srv) {
 			if err != nil {
 				t.Fatalf("BatchMax=%d: serve request %d: %v", batchMax, i, err)
@@ -185,9 +185,7 @@ func TestSimServeBatchingParity(t *testing.T) {
 // same-type request arrives unsplit. The queue-only count saw a single
 // waiting request and — before the fix — kept splitting it.
 func TestElasticInflightServeBoundary(t *testing.T) {
-	srv, _, ring := startLifecycle(t, func(c *Config) {
-		c.Elastic = sched.Elastic{Enabled: true, SameTypeLimit: 2}
-	})
+	srv, _, ring := startLifecycle(t, WithElastic(sched.Elastic{Enabled: true, SameTypeLimit: 2}))
 	id0, ch0, err := srv.enqueue("work", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +222,7 @@ func TestElasticInflightServeBoundary(t *testing.T) {
 // rolling QoS window (raising the live violation rate the way the offline
 // harness counts sheds) without polluting the served-only jitter statistic.
 func TestShedsEnterRollingQoS(t *testing.T) {
-	srv, reg, _ := startLifecycle(t, nil)
+	srv, reg, _ := startLifecycle(t)
 	_, blocker, err := srv.enqueue("solo", 0)
 	if err != nil {
 		t.Fatal(err)

@@ -32,7 +32,7 @@ func TestServeAdmissionParityWithSim(t *testing.T) {
 	for i := range arrivals {
 		arrivals[i] = workload.Arrival{ID: i, Model: "quick", AtMs: float64(i)}
 	}
-	sys := &policy.Split{Alpha: 4, Elastic: sched.DefaultElastic(), Admission: gate}
+	sys := &policy.Split{Config: policy.Config{Alpha: 4, Elastic: sched.DefaultElastic(), Admission: gate}}
 	recs := sys.Run(arrivals, lifecycleCatalog(), nil)
 	simAdmitted := make([]bool, n)
 	for _, r := range recs {
@@ -40,9 +40,7 @@ func TestServeAdmissionParityWithSim(t *testing.T) {
 	}
 
 	// Wall-clock side: same gate, same request sequence.
-	srv, reg, ring := startLifecycle(t, func(c *Config) {
-		c.Admission = gate
-	})
+	srv, reg, ring := startLifecycle(t, WithAdmission(gate))
 	for i := 0; i < n; i++ {
 		_, ch, err := srv.enqueue("quick", 0)
 		admitted := err == nil
@@ -101,9 +99,9 @@ func TestServeAdmissionParityWithSim(t *testing.T) {
 // second device again. Scale events carry ReqID -1 and the live gauge and
 // counters must agree with the trace.
 func TestServeAutoscaleScalesOutAndBackIn(t *testing.T) {
-	srv, reg, ring := startLifecycle(t, func(c *Config) {
-		c.Placement = place.RoundRobin
-		c.Fleet = fleet.AutoscaleConfig{
+	srv, reg, ring := startLifecycle(t,
+		WithPlacement(place.RoundRobin),
+		WithFleet(fleet.AutoscaleConfig{
 			Min: 1, Max: 2,
 			EvalEveryMs:        5,
 			HighDepthPerDevice: 1,
@@ -115,10 +113,10 @@ func TestServeAutoscaleScalesOutAndBackIn(t *testing.T) {
 			ScaleOutCooldownMs: 5,
 			ScaleInCooldownMs:  40,
 			IdleReleaseMs:      40,
-		}
-	})
-	if len(srv.devs) != 2 {
-		t.Fatalf("fleet holds %d executors, want Fleet.Max=2", len(srv.devs))
+		}),
+	)
+	if srv.eng.Lanes() != 2 {
+		t.Fatalf("fleet holds %d executors, want Fleet.Max=2", srv.eng.Lanes())
 	}
 	if snap := srv.QueueSnapshot(); snap.ActiveDevices != 1 {
 		t.Fatalf("fleet started with %d active devices, want Min=1", snap.ActiveDevices)
@@ -196,9 +194,9 @@ func TestServeAutoscaleScalesOutAndBackIn(t *testing.T) {
 // regression for the active-prefix bookkeeping. Every request must still
 // resolve with a nil or typed outcome and the fleet must drain cleanly.
 func TestServeElasticConcurrentScaleDown(t *testing.T) {
-	srv, _, _ := startLifecycle(t, func(c *Config) {
-		c.Placement = place.LeastLoaded
-		c.Fleet = fleet.AutoscaleConfig{
+	srv, _, _ := startLifecycle(t,
+		WithPlacement(place.LeastLoaded),
+		WithFleet(fleet.AutoscaleConfig{
 			Min: 1, Max: 4,
 			EvalEveryMs:        1,
 			HighDepthPerDevice: 1,
@@ -206,8 +204,8 @@ func TestServeElasticConcurrentScaleDown(t *testing.T) {
 			ScaleOutCooldownMs: 2,
 			ScaleInCooldownMs:  4,
 			IdleReleaseMs:      4,
-		}
-	})
+		}),
+	)
 	const workers, per = 8, 25
 	errs := make(chan error, workers*per)
 	var wg sync.WaitGroup

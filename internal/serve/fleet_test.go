@@ -101,7 +101,7 @@ func TestFleetSimServeParity(t *testing.T) {
 				arrivals[i] = workload.Arrival{ID: i, Model: "work", AtMs: float64(i), DeadlineMs: d}
 			}
 			tr := trace.New()
-			sys := &policy.Split{Alpha: 4, Devices: n, Placement: place.RoundRobin}
+			sys := &policy.Split{Config: policy.Config{Alpha: 4, Devices: n, Placement: place.RoundRobin}}
 			recs := sys.Run(arrivals, lifecycleCatalog(), tr)
 			simBlocks := map[int]int{}
 			for _, e := range tr.Events() {
@@ -118,10 +118,10 @@ func TestFleetSimServeParity(t *testing.T) {
 			}
 
 			// Real-time side: same schedule through the fleet server.
-			srv, _, ring := startLifecycle(t, func(c *Config) {
-				c.Devices = n
-				c.Placement = place.RoundRobin
-			})
+			srv, _, ring := startLifecycle(t,
+				WithDevices(n),
+				WithPlacement(place.RoundRobin),
+			)
 			chans := make([]chan outcome, len(deadlines))
 			for i, d := range deadlines {
 				_, ch, err := srv.enqueue("work", d)
@@ -157,10 +157,10 @@ func TestFleetSimServeParity(t *testing.T) {
 // devices must run concurrently — the second would wait a full 60 ms if
 // the fleet were secretly serializing on one device.
 func TestFleetServeParallelism(t *testing.T) {
-	srv, _, _ := startLifecycle(t, func(c *Config) {
-		c.Devices = 2
-		c.Placement = place.RoundRobin
-	})
+	srv, _, _ := startLifecycle(t,
+		WithDevices(2),
+		WithPlacement(place.RoundRobin),
+	)
 	var chans []chan outcome
 	for i := 0; i < 2; i++ {
 		_, ch, err := srv.enqueue("work", 0)
@@ -187,10 +187,10 @@ func TestFleetServeParallelism(t *testing.T) {
 // families and per-device snapshot state; single-device servers must not
 // grow new families.
 func TestFleetServeMetricsAndSnapshot(t *testing.T) {
-	srv, reg, _ := startLifecycle(t, func(c *Config) {
-		c.Devices = 2
-		c.Placement = place.LeastLoaded
-	})
+	srv, reg, _ := startLifecycle(t,
+		WithDevices(2),
+		WithPlacement(place.LeastLoaded),
+	)
 	var chans []chan outcome
 	for i := 0; i < 4; i++ {
 		_, ch, err := srv.enqueue("solo", 0)
@@ -231,7 +231,7 @@ func TestFleetServeMetricsAndSnapshot(t *testing.T) {
 	}
 
 	// Single-device servers keep the pre-fleet metric surface.
-	single, reg1, _ := startLifecycle(t, nil)
+	single, reg1, _ := startLifecycle(t)
 	if _, ch, err := single.enqueue("quick", 0); err != nil {
 		t.Fatal(err)
 	} else if out := await(t, ch); out.err != nil {
@@ -253,10 +253,10 @@ func TestFleetServeMetricsAndSnapshot(t *testing.T) {
 // TestFleetCancelRoutesAcrossDevices: cancellation must find queued and
 // in-flight work wherever the placer put it.
 func TestFleetCancelRoutesAcrossDevices(t *testing.T) {
-	srv, _, _ := startLifecycle(t, func(c *Config) {
-		c.Devices = 2
-		c.Placement = place.RoundRobin
-	})
+	srv, _, _ := startLifecycle(t,
+		WithDevices(2),
+		WithPlacement(place.RoundRobin),
+	)
 	// Fill both devices, then queue one more on each.
 	var ids []int
 	var chans []chan outcome

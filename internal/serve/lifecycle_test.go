@@ -41,22 +41,14 @@ func lifecycleCatalog() policy.Catalog {
 	return policy.NewCatalog(graphs, plans)
 }
 
-// startLifecycle boots an instrumented server on the lifecycle catalog.
-func startLifecycle(t *testing.T, mut func(*Config)) (*Server, *obs.Registry, *trace.Ring) {
+// startLifecycle boots an instrumented server on the lifecycle catalog;
+// opts apply after the instrumented defaults.
+func startLifecycle(t *testing.T, opts ...Option) (*Server, *obs.Registry, *trace.Ring) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	ring := trace.NewRing(1024)
-	cfg := Config{
-		Catalog:   lifecycleCatalog(),
-		Alpha:     4,
-		TimeScale: 1,
-		Obs:       reg,
-		Sink:      ring,
-	}
-	if mut != nil {
-		mut(&cfg)
-	}
-	srv, err := NewServer(cfg)
+	defaults := []Option{WithAlpha(4), WithTimeScale(1), WithObs(reg), WithSink(ring)}
+	srv, err := New(lifecycleCatalog(), append(defaults, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +106,7 @@ func dropCount(reg *obs.Registry, reason string) int64 {
 // whose deadline passes while it waits is shed at the next block boundary
 // and never occupies the device.
 func TestExpiredQueuedNeverRunsBlock(t *testing.T) {
-	srv, reg, ring := startLifecycle(t, nil)
+	srv, reg, ring := startLifecycle(t)
 	_, blocker, err := srv.enqueue("work", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +145,7 @@ func TestExpiredQueuedNeverRunsBlock(t *testing.T) {
 // TestInflightDeadlineShedAtBoundary: a request whose deadline passes while
 // it executes is stopped at the next block boundary, not run to completion.
 func TestInflightDeadlineShedAtBoundary(t *testing.T) {
-	srv, _, ring := startLifecycle(t, nil)
+	srv, _, ring := startLifecycle(t)
 	// Deadline 30 ms into a 3x20 ms plan: block 0 ends ~20 (alive), block 1
 	// ends ~40 (past deadline) — shed there, block 2 must never run.
 	id, ch, err := srv.enqueue("work", 30)
@@ -172,7 +164,7 @@ func TestInflightDeadlineShedAtBoundary(t *testing.T) {
 // TestPredictiveShed: with predictive shedding, a request that can no
 // longer meet its deadline is shed before wasting any device time.
 func TestPredictiveShed(t *testing.T) {
-	srv, _, ring := startLifecycle(t, func(c *Config) { c.PredictiveShed = true })
+	srv, _, ring := startLifecycle(t, WithPredictiveShed(true))
 	// 60 ms of work against a 30 ms deadline: doomed on arrival.
 	id, ch, err := srv.enqueue("work", 30)
 	if err != nil {
@@ -190,10 +182,8 @@ func TestPredictiveShed(t *testing.T) {
 // TestEnforceDeadlinesDerivesAlphaTarget: with EnforceDeadlines and no RPC
 // override, the deadline is α·t_ext after arrival (the paper's QoS target).
 func TestEnforceDeadlinesDerivesAlphaTarget(t *testing.T) {
-	srv, _, _ := startLifecycle(t, func(c *Config) {
-		c.EnforceDeadlines = true
-		c.Alpha = 0.5 // target 0.5·60 = 30 ms: unmeetable for 60 ms of work
-	})
+	// Target 0.5·60 = 30 ms: unmeetable for 60 ms of work.
+	srv, _, _ := startLifecycle(t, WithDeadlines(0.5))
 	_, ch, err := srv.enqueue("work", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +194,7 @@ func TestEnforceDeadlinesDerivesAlphaTarget(t *testing.T) {
 }
 
 func TestCancelQueuedAndUnknown(t *testing.T) {
-	srv, reg, _ := startLifecycle(t, nil)
+	srv, reg, _ := startLifecycle(t)
 	c, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +230,7 @@ func TestCancelQueuedAndUnknown(t *testing.T) {
 }
 
 func TestCancelInflightStopsAtBoundary(t *testing.T) {
-	srv, _, ring := startLifecycle(t, nil)
+	srv, _, ring := startLifecycle(t)
 	c, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -275,7 +265,7 @@ func TestCancelInflightStopsAtBoundary(t *testing.T) {
 // TestConnLossCancelsOrphans: requests submitted on a connection that drops
 // are canceled rather than left occupying the queue and device.
 func TestConnLossCancelsOrphans(t *testing.T) {
-	srv, reg, _ := startLifecycle(t, nil)
+	srv, reg, _ := startLifecycle(t)
 	c, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -304,7 +294,7 @@ func TestConnLossCancelsOrphans(t *testing.T) {
 // whose final block completes during Stop is delivered to its client, not
 // failed with a closed channel.
 func TestStopDeliversInflightCompletion(t *testing.T) {
-	srv, _, _ := startLifecycle(t, nil)
+	srv, _, _ := startLifecycle(t)
 	_, ch, err := srv.enqueue("solo", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -326,7 +316,7 @@ func TestStopDeliversInflightCompletion(t *testing.T) {
 // TestStopShedsQueuedWork: Stop fails queued waiters with ErrStopped
 // instead of leaving them hanging.
 func TestStopShedsQueuedWork(t *testing.T) {
-	srv, reg, _ := startLifecycle(t, nil)
+	srv, reg, _ := startLifecycle(t)
 	_, inflight, err := srv.enqueue("solo", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -351,7 +341,7 @@ func TestStopShedsQueuedWork(t *testing.T) {
 // TestDrainCompletesBacklog: a drain with enough budget finishes every
 // queued request and delivers every completion.
 func TestDrainCompletesBacklog(t *testing.T) {
-	srv, _, ring := startLifecycle(t, nil)
+	srv, _, ring := startLifecycle(t)
 	var chans []chan outcome
 	for i := 0; i < 3; i++ {
 		_, ch, err := srv.enqueue("solo", 0)
@@ -389,7 +379,7 @@ func TestDrainCompletesBacklog(t *testing.T) {
 // budget, every still-queued request is shed with ErrDrained and the
 // in-flight request is shed at its boundary; nothing hangs.
 func TestDrainTimeoutShedsRemainder(t *testing.T) {
-	srv, reg, _ := startLifecycle(t, nil)
+	srv, reg, _ := startLifecycle(t)
 	var chans []chan outcome
 	for i := 0; i < 4; i++ {
 		_, ch, err := srv.enqueue("work", 0)
@@ -426,9 +416,7 @@ func TestDrainTimeoutShedsRemainder(t *testing.T) {
 // TestFaultRetryExhaustion: a block that keeps failing is retried within
 // the budget, then the request is shed as a device fault.
 func TestFaultRetryExhaustion(t *testing.T) {
-	srv, reg, ring := startLifecycle(t, func(c *Config) {
-		c.Faults = &gpusim.FaultInjector{Seed: 1, FailProb: 1, MaxRetries: 2}
-	})
+	srv, reg, ring := startLifecycle(t, WithFaults(&gpusim.FaultInjector{Seed: 1, FailProb: 1, MaxRetries: 2}))
 	id, ch, err := srv.enqueue("quick", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -457,9 +445,7 @@ func TestFaultRetryExhaustion(t *testing.T) {
 // TestFaultSpikeStretchesBlock: a latency spike multiplies the block's
 // device time but the request still completes.
 func TestFaultSpikeStretchesBlock(t *testing.T) {
-	srv, _, _ := startLifecycle(t, func(c *Config) {
-		c.Faults = &gpusim.FaultInjector{Seed: 1, SpikeProb: 1, SpikeFactor: 5}
-	})
+	srv, _, _ := startLifecycle(t, WithFaults(&gpusim.FaultInjector{Seed: 1, SpikeProb: 1, SpikeFactor: 5}))
 	_, ch, err := srv.enqueue("quick", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -501,7 +487,7 @@ func TestSimServeParity(t *testing.T) {
 		arrivals[i] = workload.Arrival{ID: i, Model: "work", AtMs: float64(i), DeadlineMs: d}
 	}
 	tr := trace.New()
-	sys := &policy.Split{Alpha: 4}
+	sys := &policy.Split{Config: policy.Config{Alpha: 4}}
 	recs := sys.Run(arrivals, lifecycleCatalog(), tr)
 	if len(recs) != len(deadlines) {
 		t.Fatalf("sim reported %d records", len(recs))
@@ -522,7 +508,7 @@ func TestSimServeParity(t *testing.T) {
 	}
 
 	// Real-time side: same schedule, deadlines supplied per request.
-	srv, _, ring := startLifecycle(t, nil)
+	srv, _, ring := startLifecycle(t)
 	ids := make([]int, len(deadlines))
 	chans := make([]chan outcome, len(deadlines))
 	for i, d := range deadlines {

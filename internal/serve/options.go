@@ -11,21 +11,6 @@ import (
 	"split/internal/workload"
 )
 
-// OptionsVersion is the current server-options schema revision. Version 1
-// was the flat single-device Config struct; version 2 added the fleet
-// fields (Devices, Placement) and the functional-option constructor;
-// version 3 added the sim-mirrored scheduling knobs (StarveGuardRR,
-// AlphaByClass) so a tuned policy.Split carries over verbatim; version 4
-// added arrival record/replay (ArrivalRecorder); version 5 added the
-// elastic control plane as nested sub-structs (FleetOptions via WithFleet,
-// AdmissionOptions via WithAdmission); version 6 added spatial sharing
-// (Partitions, PartitionCost, PartitionWidth via WithPartitions /
-// WithPartitionCost / WithPartitionWidth), mirroring the simulator's
-// partition knobs. The version is recorded on the built Options so
-// deployment tooling can assert which schema a server was configured
-// under.
-const OptionsVersion = 6
-
 // FleetOptions is the nested autoscaler option block WithFleet installs —
 // the same watermark/hysteresis configuration the simulator takes as
 // policy.Split.Fleet, so a tuned controller carries between layers
@@ -37,26 +22,47 @@ type FleetOptions = fleet.AutoscaleConfig
 // policy.Split.Admission.
 type AdmissionOptions = fleet.AdmissionConfig
 
-// Options is the versioned server configuration New assembles from
-// functional options. It embeds the legacy flat Config so every knob has
-// exactly one storage location; Config itself remains usable through the
-// deprecated NewServer shim.
+// Options is the server configuration New assembles from functional
+// options: the scheduling knobs the simulator shares (policy.Config,
+// declared once for both) plus the serving-only ones.
 type Options struct {
-	// Version is the options schema revision the constructor stamped.
-	Version int
-	Config
+	policy.Config
+	// Catalog holds the deployed models and split plans.
+	Catalog policy.Catalog
+	// TimeScale converts simulated block milliseconds to wall-clock
+	// milliseconds (1.0 = real time; 0.01 = 100× accelerated).
+	TimeScale float64
+	// MaxQueue caps the number of waiting requests; arrivals beyond it are
+	// rejected with ErrQueueFull. 0 means unbounded (the paper's setting).
+	// For the gate the simulator shares, use Admission instead.
+	MaxQueue int
+	// QoSWindow sizes the rolling online QoS window (completions);
+	// <= 0 selects obs.DefaultQoSWindow.
+	QoSWindow int
+	// Obs, when non-nil, receives live metrics (request/completion/drop
+	// counters, queue-depth and elastic gauges, wait/e2e/RR histograms)
+	// under the split_* names documented in the README.
+	Obs *obs.Registry
+	// Sink, when non-nil, receives the live scheduling event stream
+	// (arrive, enqueue, block start/end, preempt, elastic transitions,
+	// complete, drop, shed, cancel, fault, drain) — typically a trace.Ring
+	// flight recorder, a Tracer, or a Fanout of both.
+	Sink trace.Sink
+	// ArrivalRecorder, when non-nil, records every admitted arrival (and
+	// any later cancellation) in workload trace form, so the live run can
+	// be written with workload.WriteTrace and re-simulated deterministically
+	// through policy.Split.
+	ArrivalRecorder *workload.Recorder
 }
 
 // Option mutates one server option; pass a sequence to New.
 type Option func(*Options)
 
-// New builds a server for catalog with the given options — the versioned
-// replacement for NewServer(Config). Zero options yield the paper's
-// defaults: α=4, real-time scale, one device, unbounded queue, no
-// deadlines, no fault injection.
+// New builds a server for catalog with the given options. Zero options
+// yield the paper's defaults: α=4, real-time scale, one device, unbounded
+// queue, no deadlines, no fault injection.
 func New(catalog policy.Catalog, opts ...Option) (*Server, error) {
-	o := Options{Version: OptionsVersion}
-	o.Catalog = catalog
+	o := Options{Catalog: catalog}
 	for _, opt := range opts {
 		if opt != nil {
 			opt(&o)
@@ -162,23 +168,21 @@ func WithBatchCost(c gpusim.BatchCost) Option {
 // WithPartitions enables spatial sharing: every device is split into m
 // concurrent partition slots, each a scheduling lane with its own queue
 // and executor goroutine. m <= 1 keeps the temporal-only path (the
-// default) and reproduces unpartitioned behavior exactly. Mirrors
-// policy.Split.Partitions.
+// default) and reproduces unpartitioned behavior exactly.
 func WithPartitions(m int) Option {
 	return func(o *Options) { o.Partitions = m }
 }
 
 // WithPartitionCost sets the fractional-width efficiency curve (the zero
 // value means gpusim.DefaultPartitionCost()). It has no effect unless
-// WithPartitions enables spatial sharing. Mirrors
-// policy.Split.PartitionCost.
+// WithPartitions enables spatial sharing.
 func WithPartitionCost(c gpusim.PartitionCost) Option {
 	return func(o *Options) { o.PartitionCost = c }
 }
 
 // WithPartitionWidth selects the hold-width policy under spatial sharing:
 // place.WidthFixed or place.WidthAdaptive; empty selects
-// place.DefaultWidth. Mirrors policy.Split.PartitionWidth.
+// place.DefaultWidth.
 func WithPartitionWidth(width string) Option {
 	return func(o *Options) { o.PartitionWidth = width }
 }
@@ -186,15 +190,14 @@ func WithPartitionWidth(width string) Option {
 // WithStarveGuard enables the starvation-guard extension: a waiting
 // request whose response ratio exceeds rr is pinned to the queue front so
 // greedy insertion cannot starve long requests indefinitely. rr <= 0
-// disables the guard (the paper's baseline). Mirrors
-// policy.Split.StarveGuardRR.
+// disables the guard (the paper's baseline).
 func WithStarveGuard(rr float64) Option {
 	return func(o *Options) { o.StarveGuardRR = rr }
 }
 
 // WithAlphaByClass assigns class-specific latency-target multipliers;
 // classes absent from the map use the global α. The map is captured, not
-// copied. Mirrors policy.Split.AlphaByClass.
+// copied.
 func WithAlphaByClass(byClass map[model.RequestClass]float64) Option {
 	return func(o *Options) { o.AlphaByClass = byClass }
 }
@@ -210,14 +213,14 @@ func WithArrivalRecorder(rec *workload.Recorder) Option {
 // WithFleet enables the elastic autoscaler: the server runs f.Max
 // executors, keeps [Min, Max] of them actively placed on queue-depth and
 // rolling-QoS signals, and drains-then-releases on sustained idle. The
-// zero value keeps the fixed WithDevices fleet. Mirrors policy.Split.Fleet.
+// zero value keeps the fixed WithDevices fleet.
 func WithFleet(f FleetOptions) Option {
 	return func(o *Options) { o.Fleet = f }
 }
 
 // WithAdmission enables the front-door admission gate; rejected requests
 // receive ErrAdmissionRejected and count under the shared
-// trace.ReasonAdmission drop reason. Mirrors policy.Split.Admission.
+// trace.ReasonAdmission drop reason.
 func WithAdmission(a AdmissionOptions) Option {
 	return func(o *Options) { o.Admission = a }
 }

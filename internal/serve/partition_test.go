@@ -17,11 +17,11 @@ import (
 // must export the gated split_partition_* families with Part-tagged block
 // events. An unpartitioned server must export none of them.
 func TestServePartitionConcurrency(t *testing.T) {
-	srv, reg, ring := startLifecycle(t, func(c *Config) {
-		c.Partitions = 2
-		c.PartitionWidth = place.WidthFixed
-		c.Placement = place.RoundRobin
-	})
+	srv, reg, ring := startLifecycle(t,
+		WithPartitions(2),
+		WithPartitionWidth(place.WidthFixed),
+		WithPlacement(place.RoundRobin),
+	)
 	var chans []chan outcome
 	for i := 0; i < 2; i++ {
 		_, ch, err := srv.enqueue("solo", 0)
@@ -71,7 +71,7 @@ func TestServePartitionConcurrency(t *testing.T) {
 	}
 
 	// Unpartitioned servers keep the pre-partition metric surface.
-	single, reg1, _ := startLifecycle(t, nil)
+	single, reg1, _ := startLifecycle(t)
 	if _, ch, err := single.enqueue("quick", 0); err != nil {
 		t.Fatal(err)
 	} else if out := await(t, ch); out.err != nil {
@@ -98,18 +98,18 @@ func TestSimServePartitionParity(t *testing.T) {
 		arrivals[i] = workload.Arrival{ID: i, Model: "solo", AtMs: float64(i)}
 	}
 	simTr := trace.New()
-	(&policy.Split{Alpha: 4, Devices: 1, Placement: place.RoundRobin,
-		Partitions: 2, PartitionWidth: place.WidthFixed}).Run(arrivals, lifecycleCatalog(), simTr)
+	(&policy.Split{Config: policy.Config{Alpha: 4, Devices: 1, Placement: place.RoundRobin,
+		Partitions: 2, PartitionWidth: place.WidthFixed}}).Run(arrivals, lifecycleCatalog(), simTr)
 	simTree := trace.BuildSpans(simTr.Events())
 	if len(simTree.Problems) != 0 {
 		t.Fatalf("sim span problems: %v", simTree.Problems)
 	}
 
-	srv, _, ring := startLifecycle(t, func(c *Config) {
-		c.Partitions = 2
-		c.PartitionWidth = place.WidthFixed
-		c.Placement = place.RoundRobin
-	})
+	srv, _, ring := startLifecycle(t,
+		WithPartitions(2),
+		WithPartitionWidth(place.WidthFixed),
+		WithPlacement(place.RoundRobin),
+	)
 	ids := make([]int, n)
 	chans := make([]chan outcome, n)
 	for i := 0; i < n; i++ {
@@ -171,10 +171,10 @@ func traceSpansOf(events []trace.Event) []trace.Span {
 // models must re-home onto the least-loaded survivor, not pile onto the
 // fewest-warm one that is currently drowning in the drained backlog.
 func TestServeScaleInThenBurst(t *testing.T) {
-	srv, _, _ := startLifecycle(t, func(c *Config) {
-		c.Devices = 3
-		c.Placement = place.Affinity
-	})
+	srv, _, _ := startLifecycle(t,
+		WithDevices(3),
+		WithPlacement(place.Affinity),
+	)
 	// Home one model per device: first sightings claim fewest-warm in ID
 	// order.
 	for i, m := range []string{"work", "solo", "quick"} {
@@ -192,8 +192,7 @@ func TestServeScaleInThenBurst(t *testing.T) {
 	}
 	// Scale device 2 out of the active set: its home ("quick") is evicted.
 	srv.mu.Lock()
-	srv.active = 2
-	srv.resizePlacerLocked()
+	srv.eng.SetActive(2)
 	srv.mu.Unlock()
 	// Pile backlog onto device 0 so the survivors' loads diverge.
 	var chans []chan outcome

@@ -24,7 +24,7 @@ import (
 //	r3 (canceled ~40)   canceled while queued
 func TestRecordReplayParity(t *testing.T) {
 	rec := workload.NewRecorder()
-	srv, _, _ := startLifecycle(t, func(c *Config) { c.ArrivalRecorder = rec })
+	srv, _, _ := startLifecycle(t, WithArrivalRecorder(rec))
 
 	deadlines := []float64{0, 70, 1000, 0}
 	ids := make([]int, len(deadlines))
@@ -99,7 +99,7 @@ func TestRecordReplayParity(t *testing.T) {
 	}
 
 	// ...and re-simulating it reproduces the live run's outcomes.
-	sys := &policy.Split{Alpha: 4}
+	sys := &policy.Split{Config: policy.Config{Alpha: 4}}
 	for _, r := range sys.Run(replayed, lifecycleCatalog(), nil) {
 		if r.Outcome != serveOutcome[r.ID] {
 			t.Errorf("replay outcome[%d] = %q, live run saw %q", r.ID, r.Outcome, serveOutcome[r.ID])

@@ -7,6 +7,10 @@
 // block then occupies the (simulated) device for its profiled duration; the
 // Responder finally returns the inference result to the user.
 //
+// The scheduling decisions themselves are policy.Engine's — the same
+// engine the discrete-event simulator drives — so the server owns only
+// the clock, the lane executors, RPC, drain/stop and observability.
+//
 // Block execution is wall-clock: a block of d ms holds the device for
 // d·TimeScale real milliseconds, so TimeScale=1 serves in true Jetson-Nano
 // time and small TimeScale values accelerate tests.
@@ -24,7 +28,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"net/rpc"
 	"runtime"
@@ -35,15 +38,11 @@ import (
 	"sync"
 	"time"
 
-	"split/internal/fleet"
-	"split/internal/gpusim"
 	"split/internal/model"
 	"split/internal/obs"
-	"split/internal/place"
 	"split/internal/policy"
 	"split/internal/sched"
 	"split/internal/trace"
-	"split/internal/workload"
 )
 
 // Typed rejection and shedding errors, so clients and metrics can
@@ -58,7 +57,7 @@ var (
 	ErrStopped = errors.New("serve: server stopped")
 	// ErrUnknownModel rejects requests naming a model not in the catalog.
 	ErrUnknownModel = errors.New("serve: model not deployed")
-	// ErrQueueFull rejects requests when Config.MaxQueue is reached.
+	// ErrQueueFull rejects requests when Options.MaxQueue is reached.
 	ErrQueueFull = errors.New("serve: queue full")
 	// ErrDeadlineExceeded sheds requests whose deadline passed before they
 	// could finish; they never occupy the device for another block.
@@ -111,129 +110,6 @@ const (
 	DropAdmission    = trace.ReasonAdmission
 )
 
-// Config parameterizes a server.
-//
-// Deprecated: Config is the flat version-1 configuration kept for
-// compatibility; NewServer maps it onto the versioned Options. New code
-// should use New with functional options (WithDevices, WithPlacement,
-// WithDeadlines, ...).
-type Config struct {
-	// Catalog holds the deployed models and split plans.
-	//
-	//lint:mirror-exempt the sim takes its catalog as a Run argument, not a knob
-	Catalog policy.Catalog
-	// Alpha is the latency-target multiplier for scheduling decisions.
-	Alpha float64
-	// Elastic configures elastic splitting.
-	Elastic sched.Elastic
-	// StarveGuardRR, when > 0, enables the starvation-guard extension: a
-	// waiting request whose predicted response ratio already reaches this
-	// value cannot be passed by later arrivals. See sched.Queue. Mirrors
-	// policy.Split.StarveGuardRR so sim experiments carry over.
-	StarveGuardRR float64
-	// AlphaByClass optionally assigns class-specific latency-target
-	// multipliers; classes not present fall back to Alpha. Mirrors
-	// policy.Split.AlphaByClass so sim experiments carry over.
-	AlphaByClass map[model.RequestClass]float64
-	// TimeScale converts simulated block milliseconds to wall-clock
-	// milliseconds (1.0 = real time; 0.01 = 100× accelerated).
-	//
-	//lint:mirror-exempt the sim runs on virtual time; there is no wall clock to scale
-	TimeScale float64
-	// MaxQueue caps the number of waiting requests; arrivals beyond it are
-	// rejected with ErrQueueFull. 0 means unbounded (the paper's setting).
-	// For the gate both layers share — with typed drop reasons and parity-
-	// comparable decisions — use Admission instead.
-	//
-	//lint:mirror-exempt serve-local legacy queue cap; the shared gate is Admission (queue-length mode)
-	MaxQueue int
-	// EnforceDeadlines derives an absolute deadline ArriveMs + α·t_ext for
-	// every request (unless the RPC supplies its own) and sheds expired
-	// requests at block boundaries instead of letting them keep occupying
-	// the device. RPC-supplied deadlines are honored even when this is off.
-	EnforceDeadlines bool
-	// PredictiveShed additionally sheds requests that can no longer finish
-	// by their deadline even if granted the device immediately
-	// (EdgeServing-style), rather than waiting for the deadline to pass.
-	PredictiveShed bool
-	// Faults, when non-nil, injects deterministic block-latency spikes and
-	// transient block failures with bounded per-block retry — the chaos
-	// harness the shedding and drain paths are tested under.
-	Faults *gpusim.FaultInjector
-	// Obs, when non-nil, receives live metrics (request/completion/drop
-	// counters, queue-depth and elastic gauges, wait/e2e/RR histograms)
-	// under the split_* names documented in the README.
-	//
-	//lint:mirror-exempt the sim reports through returned Records, not a live registry
-	Obs *obs.Registry
-	// Sink, when non-nil, receives the live scheduling event stream
-	// (arrive, enqueue, block start/end, preempt, elastic transitions,
-	// complete, drop, shed, cancel, fault, drain) — typically a trace.Ring
-	// flight recorder, a Tracer, or a Fanout of both.
-	//
-	//lint:mirror-exempt the sim takes its Tracer as a Run argument, not a knob
-	Sink trace.Sink
-	// QoSWindow sizes the rolling online QoS window (completions);
-	// <= 0 selects obs.DefaultQoSWindow.
-	//
-	//lint:mirror-exempt rolling QoS is online-serving observability; the sim computes QoS offline
-	QoSWindow int
-	// ArrivalRecorder, when non-nil, records every admitted arrival (and
-	// any later cancellation) in workload trace form, so the live run can
-	// be written with workload.WriteTrace and re-simulated deterministically
-	// through policy.Split.
-	//
-	//lint:mirror-exempt record/replay is an online-serving concern; the sim consumes a workload trace directly
-	ArrivalRecorder *workload.Recorder
-	// Devices is the fleet size: the server runs one executor goroutine per
-	// device, each draining its own scheduler queue, with arrivals routed by
-	// the Placement policy. 0 or 1 serves on a single device exactly as the
-	// paper describes.
-	Devices int
-	// Placement names the fleet placement policy (see internal/place):
-	// "round-robin", "least-loaded" or "affinity". Empty selects
-	// place.Default. Ignored on a single device beyond validation.
-	Placement string
-	// BatchMax enables same-type micro-batching when > 1: at a block
-	// boundary the granted request may coalesce up to BatchMax same-model,
-	// same-boundary queue-front neighbors into one batched device grant
-	// (sched.BatchPlanner), executed under the BatchCost model. <= 1 — the
-	// default — keeps the scalar path and today's exact behavior.
-	BatchMax int
-	// BatchCost prices batched block execution; the zero value means
-	// gpusim.DefaultBatchCost(). Ignored unless BatchMax > 1.
-	BatchCost gpusim.BatchCost
-	// Partitions enables spatial sharing when > 1: every device is split
-	// into that many concurrent partition slots, each with its own
-	// scheduling lane — queue, elastic state, executor goroutine — fed by
-	// lane-level placement. <= 1 — the default — keeps the temporal-only
-	// path and today's exact behavior. Mirrors policy.Split.Partitions so
-	// sim experiments carry over.
-	Partitions int
-	// PartitionCost prices fractional-width block execution; the zero value
-	// means gpusim.DefaultPartitionCost(). Ignored unless Partitions > 1.
-	// Mirrors policy.Split.PartitionCost.
-	PartitionCost gpusim.PartitionCost
-	// PartitionWidth names the hold-width policy under spatial sharing:
-	// place.WidthFixed or place.WidthAdaptive; empty selects
-	// place.DefaultWidth. Ignored unless Partitions > 1. Mirrors
-	// policy.Split.PartitionWidth.
-	PartitionWidth string
-	// Fleet configures the elastic autoscaler: when enabled (Max > 0) the
-	// server runs Fleet.Max executors of which [Min, Max] are actively
-	// placed, scaled on queue-depth and rolling-QoS signals with
-	// drain-then-release semantics; Devices is superseded by the bounds.
-	// The zero value keeps the fixed fleet of Devices — and the decision
-	// stream identical to the pre-elastic server. Mirrors
-	// policy.Split.Fleet so tuned sim experiments carry over.
-	Fleet fleet.AutoscaleConfig
-	// Admission configures the front-door gate; the zero value admits
-	// everything. A rejected request receives ErrAdmissionRejected and is
-	// counted under the shared trace.ReasonAdmission drop reason. Mirrors
-	// policy.Split.Admission so sim and serve reject identically.
-	Admission fleet.AdmissionConfig
-}
-
 // outcome is what a waiter receives: the completed request, or a typed
 // terminal error (deadline, cancel, drain, stop, device fault).
 type outcome struct {
@@ -250,129 +126,50 @@ type delivery struct {
 	out outcome
 }
 
-// srvDevice is one scheduling lane of the serving path — one (device,
-// partition) pair with its own scheduler queue, fault schedule, and
-// executor goroutine, all sharing the server mutex. Unpartitioned
-// (Partitions <= 1) a lane IS a device and the server degenerates to the
-// paper's single shared GPU; under spatial sharing the sibling lanes of a
-// device coordinate through the shared slot ledger.
-type srvDevice struct {
-	// id is the physical device ID; part is the partition anchor slot on
-	// it (always 0 unpartitioned); lane is the flat index id*parts+part.
-	id   int
-	part int
-	lane int
-	// want is the requested hold width in slots (1 fixed, parts adaptive);
-	// the ledger clamps it to the contiguous free span at grant time.
-	want int
-	// ledger is the physical device's partition slot ledger, shared by its
-	// sibling lanes and mutated only with s.mu held; nil unpartitioned.
-	ledger *gpusim.Device
-	queue  *sched.Queue
-	faults *gpusim.FaultInjector
-	busy   bool
-	// inflight is the request currently occupying this device (nil while
-	// idle). It is not in the queue; Cancel marks it cancel-at-next-
-	// boundary instead of removing it.
-	inflight *sched.Request
-	// batch is the full membership of the current device grant when it is a
-	// micro-batch (inflight is then the leader); nil during scalar grants.
-	batch []*sched.Request
-	// busyMsTotal accumulates virtual-ms device occupancy.
-	busyMsTotal float64
-	// scratch is the batch-formation buffer FormInto reuses across grants.
-	scratch []*sched.Request
-}
-
-// executing returns the request with the given id if it holds (or shares)
-// this device's current grant, else nil.
-func (dv *srvDevice) executing(id int) *sched.Request {
-	if dv.inflight != nil && dv.inflight.ID == id {
-		return dv.inflight
-	}
-	for _, m := range dv.batch {
-		if m.ID == id {
-			return m
-		}
-	}
-	return nil
-}
-
-// Server owns the per-device request queues and executor goroutines.
+// Server drives the scheduling engine from one executor goroutine per
+// lane (device, or device partition under spatial sharing), all sharing
+// one mutex and condition variable.
 type Server struct {
-	cfg Config
-	// tracing caches cfg.Sink != nil: hot-path event emissions are gated
-	// on it so Detail formatting never runs (or allocates) unsinked.
-	tracing bool
-	start   time.Time
+	cfg   Options
+	start time.Time
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	// devs are the fleet members; len(devs) >= 1. placer routes arrivals to
-	// them and is only called with mu held (placers are not concurrency-safe).
-	devs   []*srvDevice
-	placer place.Placer
-	// parts is the per-device partition slot count (1 unpartitioned);
-	// len(devs) is then Devices*parts lanes. spatial is the width-aware
-	// placement wrapper and partCost the efficiency curve, both nil/zero
-	// unless parts > 1.
-	parts    int
-	partCost gpusim.PartitionCost
-	spatial  *place.Spatial
-	// active is the size of the actively placed device prefix devs[:active].
-	// Executors at or past active keep draining their queues (drain-then-
-	// release) but receive no new placements. Without the autoscaler it is
-	// len(devs) forever.
-	active int
-	// scaler and admit are the elastic control plane (both nil when their
-	// Config blocks are disabled); fwin feeds the autoscaler's rolling
-	// violation window with the same per-record predicate the simulator
-	// uses, so the two layers' scaling signals cannot diverge. activeIDs is
-	// the reusable Resize argument buffer.
-	scaler    *fleet.Autoscaler
-	admit     *fleet.Admission
-	fwin      *fleet.Window
-	activeIDs []int
-	nextID    int
-	closed    bool
-	served    int
-	dropped   int
+	// eng makes every scheduling decision; it is only touched with mu held.
+	eng     *policy.Engine
+	nextID  int
+	closed  bool
+	served  int
+	dropped int
 	// running counts live executor goroutines; the last one to exit under a
 	// drain owns the clean DrainEnd event.
 	running int
 	// draining is true between a Drain call and either the backlog
 	// emptying or the drain timeout shedding it.
 	draining bool
-	// stopReason/stopCause label the shed applied to the in-flight request
-	// when the server closes under it ("stopped", or "drained" once a
-	// drain times out).
+	// stopReason is the shed reason applied to in-flight requests when the
+	// server closes under them ("stopped", or "drained" once a drain times
+	// out).
 	stopReason string
-	stopCause  error
 	// elasticSuppressed is the last §3.3 decision for a splittable arrival:
 	// true while the elastic mechanism is disabling splitting.
 	elasticSuppressed bool
 	waiters           map[int]chan outcome
 	// perModel accumulates QoS aggregates per model since start.
 	perModel map[string]*modelAgg
+	// busyMs accumulates virtual-ms occupancy per lane, pro-rated by the
+	// granted device fraction.
+	busyMs []float64
 
 	// pending buffers trace events recorded while s.mu is held. The sink is
 	// caller-supplied code that may take its own locks or call back into the
-	// server, so events are flushed to Config.Sink only after s.mu is
-	// released (the queue's own emissions are routed here via queueSink).
+	// server, so events are flushed to Options.Sink only after s.mu is
+	// released (the engine's and the queues' emissions are routed here).
 	pending []trace.Event
 	// pendingOut buffers waiter deliveries the same way.
 	pendingOut []delivery
 
-	// planner forms same-type micro-batches at block boundaries; batchCost
-	// prices them. The identical planner drives the fleet simulator, which
-	// is what makes sim-vs-serve batching parity testable. nextBatchID
-	// numbers batched grants for the trace stream (ids from 1; 0 on events
-	// means unbatched).
-	planner     sched.BatchPlanner
-	batchCost   gpusim.BatchCost
-	nextBatchID int
-
-	// met holds cached metric handles (nil when Config.Obs is nil); qos is
+	// met holds cached metric handles (nil when Options.Obs is nil); qos is
 	// the rolling online estimator and always exists, as does series, the
 	// windowed trajectory behind /timeseriesz.
 	met    *serveMetrics
@@ -383,53 +180,8 @@ type Server struct {
 	wg       sync.WaitGroup
 }
 
-// NewServer validates cfg and builds a stopped server.
-//
-// Deprecated: Config is the flat version-1 configuration surface, kept as
-// a shim for existing callers; it maps field-for-field onto the versioned
-// functional options. New code should call New with options:
-//
-//	srv, err := serve.New(catalog, serve.WithDevices(2), serve.WithDeadlines(4))
-func NewServer(cfg Config) (*Server, error) {
-	return New(cfg.Catalog, cfg.options()...)
-}
-
-// options expands the flat Config into the equivalent functional-option
-// list — every Config field except Catalog (which New takes positionally)
-// must be carried by exactly one entry. The shim regression test walks the
-// struct by reflection, so adding a Config field without extending this
-// list fails the build's tests by field name rather than silently dropping
-// the knob.
-func (cfg Config) options() []Option {
-	return []Option{
-		WithAlpha(cfg.Alpha),
-		WithElastic(cfg.Elastic),
-		WithTimeScale(cfg.TimeScale),
-		WithMaxQueue(cfg.MaxQueue),
-		WithQoSWindow(cfg.QoSWindow),
-		func(o *Options) { o.EnforceDeadlines = cfg.EnforceDeadlines },
-		WithPredictiveShed(cfg.PredictiveShed),
-		WithFaults(cfg.Faults),
-		WithObs(cfg.Obs),
-		WithSink(cfg.Sink),
-		WithDevices(cfg.Devices),
-		WithPlacement(cfg.Placement),
-		WithBatching(cfg.BatchMax),
-		WithBatchCost(cfg.BatchCost),
-		WithPartitions(cfg.Partitions),
-		WithPartitionCost(cfg.PartitionCost),
-		WithPartitionWidth(cfg.PartitionWidth),
-		WithStarveGuard(cfg.StarveGuardRR),
-		WithAlphaByClass(cfg.AlphaByClass),
-		WithArrivalRecorder(cfg.ArrivalRecorder),
-		WithFleet(cfg.Fleet),
-		WithAdmission(cfg.Admission),
-	}
-}
-
 // newServer validates assembled options and builds a stopped server.
-func newServer(o Options) (*Server, error) {
-	cfg := o.Config
+func newServer(cfg Options) (*Server, error) {
 	if len(cfg.Catalog) == 0 {
 		return nil, errors.New("serve: empty catalog")
 	}
@@ -439,238 +191,144 @@ func newServer(o Options) (*Server, error) {
 	if cfg.TimeScale <= 0 {
 		cfg.TimeScale = 1
 	}
-	if cfg.Devices < 1 {
-		cfg.Devices = 1
-	}
-	active := cfg.Devices
-	if cfg.Fleet.Enabled() {
-		// The fleet holds Max executors; the autoscaler moves the active
-		// prefix between Min and Max. A fixed Devices setting is superseded
-		// by the controller's bounds, mirroring policy.Split.RunWithStats.
-		if err := cfg.Fleet.Validate(); err != nil {
-			return nil, fmt.Errorf("serve: %w", err)
-		}
-		cfg.Devices = cfg.Fleet.Max
-		active = cfg.Fleet.Min
-		if active < 1 {
-			active = 1
-		}
-	}
-	parts := cfg.Partitions
-	if parts < 1 {
-		parts = 1
-	}
-	placer, err := place.New(cfg.Placement, cfg.Devices*parts)
-	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	var spatial *place.Spatial
-	if parts > 1 {
-		spatial, err = place.NewSpatial(placer, parts, cfg.PartitionWidth)
-		if err != nil {
-			return nil, fmt.Errorf("serve: %w", err)
-		}
-		placer = spatial
-	}
-	scaler, err := fleet.NewAutoscaler(cfg.Fleet)
-	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	admit, err := fleet.NewAdmission(cfg.Admission)
-	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
 	s := &Server{
-		cfg:        cfg,
-		tracing:    cfg.Sink != nil,
-		placer:     placer,
-		parts:      parts,
-		partCost:   cfg.PartitionCost.OrDefault(),
-		spatial:    spatial,
-		planner:    sched.BatchPlanner{Max: cfg.BatchMax},
-		batchCost:  cfg.BatchCost.OrDefault(),
 		waiters:    make(map[int]chan outcome),
 		perModel:   make(map[string]*modelAgg),
-		qos:        obs.NewRollingQoS(cfg.Alpha, cfg.QoSWindow),
-		series:     obs.NewTimeSeries(cfg.Alpha, 0, 0, cfg.Devices),
 		stopReason: DropStopped,
-		stopCause:  ErrStopped,
-		active:     active,
-		scaler:     scaler,
-		admit:      admit,
 	}
-	if scaler != nil {
-		s.fwin = fleet.NewWindow(0)
-		s.activeIDs = make([]int, 0, cfg.Devices)
+	var sink trace.Sink
+	if cfg.Sink != nil {
+		sink = pendingSink{s}
 	}
-	// One slot ledger per physical device, shared by its sibling lanes:
-	// the same gpusim bookkeeping the simulator uses, so grant widths
-	// clamp identically in both layers. Unpartitioned the ledgers stay
-	// nil and the serving path is exactly the pre-partition one.
-	var ledgers []*gpusim.Device
-	if parts > 1 {
-		ledgers = make([]*gpusim.Device, cfg.Devices)
-		for i := range ledgers {
-			d := &gpusim.Device{ID: i}
-			d.Attach(0)
-			d.ConfigurePartitions(parts)
-			ledgers[i] = d
+	eng, err := policy.NewEngine(cfg.Config, cfg.Catalog, false, (*observer)(s), sink)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
+	}
+	// The engine holds Fleet.Max devices when autoscaling.
+	cfg.Devices = eng.Devices()
+	s.cfg, s.eng = cfg, eng
+	s.busyMs = make([]float64, eng.Lanes())
+	s.qos = obs.NewRollingQoS(cfg.Alpha, cfg.QoSWindow)
+	s.series = obs.NewTimeSeries(cfg.Alpha, 0, 0, cfg.Devices)
+	if cfg.Sink != nil {
+		for lane := 0; lane < eng.Lanes(); lane++ {
+			eng.Queue(lane).Sink = queueSink{s, lane / eng.Parts(), lane % eng.Parts()}
 		}
-	}
-	laneWant := 1
-	if parts > 1 && spatial.Width() != place.WidthFixed {
-		laneWant = parts
-	}
-	s.devs = make([]*srvDevice, cfg.Devices*parts)
-	for i := range s.devs {
-		dev, part := i/parts, i%parts
-		dv := &srvDevice{id: dev, part: part, lane: i, want: laneWant,
-			queue: sched.NewQueue(cfg.Alpha), faults: cfg.Faults.ForDevice(dev)}
-		if parts > 1 {
-			dv.ledger = ledgers[dev]
-		}
-		dv.queue.StarveGuardRR = cfg.StarveGuardRR
-		if cfg.Sink != nil {
-			dv.queue.Sink = queueSink{s, dev, part}
-		}
-		s.devs[i] = dv
 	}
 	if cfg.Obs != nil {
-		s.met = newServeMetrics(cfg.Obs, cfg.Catalog, cfg.Devices, parts, s.planner.Enabled(),
-			scaler != nil, admit != nil)
+		s.met = newServeMetrics(cfg.Obs, cfg.Catalog, cfg.Devices, eng.Parts(), cfg.BatchMax > 1,
+			cfg.Fleet.Enabled(), cfg.Admission.Enabled())
 		if s.met.fleetActive != nil {
-			s.met.fleetActive.SetInt(s.active)
+			s.met.fleetActive.SetInt(eng.Active())
 		}
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s, nil
 }
 
-// depthLocked is the total number of waiting requests across the fleet.
-// Caller holds s.mu.
-func (s *Server) depthLocked() int {
-	depth := 0
-	for _, dv := range s.devs {
-		depth += dv.queue.Len()
+// observer receives the engine's decisions on the server's behalf: it is
+// the Server itself, converted so that the policy.Observer methods stay
+// off the Server's public API. Every call happens with s.mu held.
+type observer Server
+
+// Served records a completion: per-model aggregates, rolling QoS, metrics
+// and the waiter's delivery.
+func (o *observer) Served(r *sched.Request, now float64) {
+	s := (*Server)(o)
+	s.served++
+	agg := s.perModel[r.Model]
+	if agg == nil {
+		agg = &modelAgg{}
+		s.perModel[r.Model] = agg
 	}
-	return depth
+	rr := r.ResponseRatio()
+	agg.served++
+	agg.sumRR += rr
+	if rr > agg.maxRR {
+		agg.maxRR = rr
+	}
+	agg.sumWaitMs += r.E2EMs() - r.ExtMs
+	if rr > s.cfg.Alpha {
+		agg.violations++
+	}
+	agg.preempts += r.Preemptions
+	rec := policy.NewRecord(r, now, policy.OutcomeServed)
+	s.qos.Observe(rec)
+	s.series.ObserveOutcome(rec)
+	if s.met != nil {
+		s.met.completions[r.Model].Inc()
+		s.met.waitMs.Observe(r.E2EMs() - r.ExtMs)
+		s.met.e2eMs.Observe(r.E2EMs())
+		s.met.rr.Observe(rr)
+		s.met.setQoS(s.qos)
+	}
+	s.resolveLocked(r.ID, outcome{req: r})
 }
 
-// anyBusyLocked reports whether any device is executing a block. Caller
-// holds s.mu.
-func (s *Server) anyBusyLocked() bool {
-	for _, dv := range s.devs {
-		if dv.busy {
-			return true
+// Shed records a post-enqueue drop and resolves the waiter with the typed
+// cause. Sheds enter the rolling QoS window with their drop reason as the
+// record outcome: the live violation rate must count a deadline-shed
+// request as a violated one, exactly as the offline harness does —
+// otherwise heavy shedding *improves* the reported rolling QoS. The
+// window's latency statistics skip non-served records.
+func (o *observer) Shed(r *sched.Request, now float64, reason string) {
+	s := (*Server)(o)
+	s.dropped++
+	rec := policy.NewRecord(r, now, reason)
+	s.qos.Observe(rec)
+	s.series.ObserveOutcome(rec)
+	if s.met != nil {
+		s.met.dropCounter(reason).Inc()
+		if len(s.met.deviceDrops) > 0 {
+			s.met.deviceDrops[r.Device].Inc()
 		}
+		s.met.setQoS(s.qos)
 	}
-	return false
+	// The resolved error carries request identity for the client.
+	s.resolveLocked(r.ID, outcome{err: fmt.Errorf("%w (request %d, %s)", codeToErr[reason], r.ID, r.Model)})
 }
 
-// fleetViewLocked snapshots per-lane load for the placer, computed with
-// the exact formula the fleet simulator uses (queued remaining ms plus the
-// in-flight request's uncommitted blocks) so sim and serve make identical
-// placement decisions. Only the active device prefix is visible —
-// placement must never target a draining device. Under spatial sharing
-// Busy is the lane's anchor-slot occupancy, mirroring splitRun.fleetView.
-// Caller holds s.mu.
-func (s *Server) fleetViewLocked() []place.Load {
-	view := make([]place.Load, s.active*s.parts)
-	for i := range view {
-		dv := s.devs[i]
-		busy := dv.busy
-		if s.parts > 1 {
-			busy = dv.ledger.PartitionBusy(dv.part)
-		}
-		view[i] = place.Load{
-			Device:   i,
-			Queued:   dv.queue.Len(),
-			QueuedMs: dv.queue.TotalRemainingMs(),
-			Busy:     busy,
-		}
-		if dv.inflight != nil {
-			view[i].InflightMs = dv.inflight.RemainingMs()
-		}
+// Preempted counts a block-boundary preemption.
+func (o *observer) Preempted(*sched.Request, float64) {
+	if o.met != nil {
+		o.met.preemptions.Inc()
 	}
-	return view
 }
 
-// admitViewLocked assembles the admission gate's fleet view from the active
-// prefix — the identical quantities splitRun.admitView computes, which is
-// what makes admission decisions parity-comparable. Caller holds s.mu.
-func (s *Server) admitViewLocked() fleet.View {
-	v := fleet.View{ActiveDevices: s.active, ShortestBacklogMs: math.MaxFloat64}
-	for i := 0; i < s.active*s.parts; i++ {
-		dv := s.devs[i]
-		v.QueueDepth += dv.queue.Len()
-		backlog := dv.queue.TotalRemainingMs()
-		if dv.inflight != nil {
-			backlog += dv.inflight.RemainingMs()
-		}
-		if backlog < v.ShortestBacklogMs {
-			v.ShortestBacklogMs = backlog
-		}
-	}
-	return v
-}
-
-// autoscaleLocked runs one throttled controller evaluation and actuates its
-// decision. Like the simulator it piggybacks on arrivals — the enqueue path
-// is the only caller — so a fleet with no traffic holds its size, and the
-// evaluation at the next arrival observes the idle stretch through the
-// controller's persistence clocks. Caller holds s.mu.
-func (s *Server) autoscaleLocked(now float64) {
-	if s.scaler == nil || !s.scaler.Due(now) {
+// Scaled tracks autoscaler actuations in the fleet metrics.
+func (o *observer) Scaled(_ float64, out bool, active int) {
+	if o.met == nil || o.met.fleetActive == nil {
 		return
 	}
-	depth, inflight := 0, 0
-	for i := 0; i < s.active*s.parts; i++ {
-		depth += s.devs[i].queue.Len()
-		if s.devs[i].inflight != nil {
-			inflight++
-		}
-	}
-	switch s.scaler.Evaluate(fleet.Signals{
-		NowMs: now, Active: s.active, QueueDepth: depth,
-		Inflight: inflight, ViolRate: s.fwin.Rate(),
-	}) {
-	case fleet.ScaleOut:
-		s.active++
-		s.resizePlacerLocked()
-		if s.met != nil && s.met.fleetActive != nil {
-			s.met.fleetActive.SetInt(s.active)
-			s.met.scaleOuts.Inc()
-		}
-		s.emit(trace.Event{AtMs: now, Kind: trace.ScaleOut, ReqID: -1,
-			Device: s.active - 1, Detail: fmt.Sprintf("active=%d depth=%d", s.active, depth)})
-	case fleet.ScaleIn:
-		s.active--
-		s.resizePlacerLocked()
-		dv := s.devs[s.active*s.parts] // first lane of the draining device
-		drain := 0
-		for p := 0; p < s.parts; p++ {
-			drain += s.devs[s.active*s.parts+p].queue.Len()
-		}
-		if s.met != nil && s.met.fleetActive != nil {
-			s.met.fleetActive.SetInt(s.active)
-			s.met.scaleIns.Inc()
-		}
-		// Drain-then-release: the device's executors keep draining their
-		// queues and then idle; placement simply never targets them again.
-		s.emit(trace.Event{AtMs: now, Kind: trace.ScaleIn, ReqID: -1,
-			Device: dv.id, Detail: fmt.Sprintf("active=%d drain=%d", s.active, drain)})
+	o.met.fleetActive.SetInt(active)
+	if out {
+		o.met.scaleOuts.Inc()
+	} else {
+		o.met.scaleIns.Inc()
 	}
 }
 
-// resizePlacerLocked rebuilds the active-ID list and notifies the placement
-// policy so stateful placers (affinity homes) cannot reference a draining
-// device. Caller holds s.mu.
-func (s *Server) resizePlacerLocked() {
-	s.activeIDs = s.activeIDs[:0]
-	for i := 0; i < s.active; i++ {
-		s.activeIDs = append(s.activeIDs, i)
+// Elastic tracks §3.3 elastic-mode transitions for the gauge and the
+// event stream.
+func (o *observer) Elastic(now float64, suppressed bool) {
+	s := (*Server)(o)
+	if s.met != nil {
+		if suppressed {
+			s.met.elastic.Set(1)
+		} else {
+			s.met.elastic.Set(0)
+		}
 	}
-	s.placer.Resize(s.activeIDs)
+	if suppressed == s.elasticSuppressed {
+		return
+	}
+	s.elasticSuppressed = suppressed
+	kind := trace.ElasticOff
+	if suppressed {
+		kind = trace.ElasticOn
+	}
+	s.emit(trace.Event{AtMs: now, Kind: kind, ReqID: -1,
+		Detail: fmt.Sprintf("depth=%d", s.eng.Depth())})
 }
 
 // dropsHelp is the split_drops_total help text; the family covers both
@@ -793,20 +451,31 @@ func newServeMetrics(reg *obs.Registry, catalog policy.Catalog, devices, parts i
 	return m
 }
 
-// setDeviceDepth refreshes the per-device depth gauge on fleets, summing
-// the device's partition lanes when spatially shared. Caller holds s.mu.
-func (s *Server) setDeviceDepth(dv *srvDevice) {
-	if s.met == nil || len(s.met.deviceDepth) == 0 {
+// setQoS refreshes the rolling violation-rate and jitter gauges.
+func (m *serveMetrics) setQoS(qos *obs.RollingQoS) {
+	vr, jit := qos.Gauges()
+	m.violRate.Set(vr)
+	m.jitter.Set(jit)
+}
+
+// refreshDepth refreshes the fleet-wide queue-depth gauge and, on fleets,
+// the per-device one (summing the device's partition lanes). Caller holds
+// s.mu.
+func (s *Server) refreshDepth(dev int) {
+	if s.met == nil {
 		return
 	}
-	depth := dv.queue.Len()
-	if s.parts > 1 {
-		depth = 0
-		for p := 0; p < s.parts; p++ {
-			depth += s.devs[dv.id*s.parts+p].queue.Len()
-		}
+	s.met.queueDepth.SetInt(s.eng.Depth())
+	if len(s.met.deviceDepth) > 0 {
+		s.met.deviceDepth[dev].SetInt(s.eng.DeviceDepth(dev))
 	}
-	s.met.deviceDepth[dv.id].SetInt(depth)
+}
+
+// refreshDepths refreshes every queue-depth gauge. Caller holds s.mu.
+func (s *Server) refreshDepths() {
+	for dev := 0; dev < s.eng.Devices(); dev++ {
+		s.refreshDepth(dev)
+	}
 }
 
 // dropCounter returns the drops counter for reason, registering reasons
@@ -830,10 +499,15 @@ func (s *Server) emit(e trace.Event) {
 	}
 }
 
-// queueSink adapts a device queue's event stream (enqueue positions,
-// explain details) into the server's pending buffer, stamping the owning
-// device: the queues are only ever mutated with s.mu held, so their
-// emissions must be buffered too.
+// pendingSink routes the engine's event stream into the server's pending
+// buffer: the engine only runs with s.mu held, so its emissions must be
+// buffered.
+type pendingSink struct{ s *Server }
+
+func (ps pendingSink) Emit(e trace.Event) { ps.s.pending = append(ps.s.pending, e) }
+
+// queueSink adapts a lane queue's event stream (enqueue positions) into
+// the server's pending buffer, stamping the owning device and partition.
 type queueSink struct {
 	s    *Server
 	dev  int
@@ -875,50 +549,6 @@ func (s *Server) drop(nowMs float64, modelName, reason string) {
 	s.emit(trace.Event{AtMs: nowMs, Kind: trace.Drop, ReqID: -1, Model: modelName, Detail: reason})
 }
 
-// shedLocked drops an already-enqueued request: counts the reason, emits a
-// Shed event, and resolves the request's waiter with the typed cause. The
-// caller has already detached r from the queue (or owns it in flight).
-// Caller holds s.mu.
-//
-//lint:hotpath boundary sweeps shed through here on the grant loop
-func (s *Server) shedLocked(nowMs float64, r *sched.Request, reason string, cause error) {
-	s.dropped++
-	// Sheds enter the rolling QoS window with their drop reason as the
-	// record outcome: the live violation rate must count a deadline-shed
-	// request as a violated one, exactly as the offline harness does —
-	// otherwise heavy shedding *improves* the reported rolling QoS. The
-	// window's latency statistics (jitter, mean RR/wait) skip non-served
-	// records, so sheds cannot pollute them.
-	rec := policy.Record{
-		ID: r.ID, Model: r.Model, Class: r.Class,
-		ArriveMs: r.ArriveMs, StartMs: r.StartMs, DoneMs: nowMs,
-		ExtMs: r.ExtMs, Preemptions: r.Preemptions,
-		Split: len(r.BlockTimes) > 1, Device: r.Device,
-		Outcome: reason,
-	}
-	s.qos.Observe(rec)
-	s.series.ObserveOutcome(rec)
-	if s.fwin != nil {
-		// A shed request violated its target by definition — the same
-		// predicate splitRun.record feeds the sim-side window.
-		s.fwin.Observe(true)
-	}
-	if s.met != nil {
-		//lint:ignore hotalloc steady-state reasons hit the cached map; Registry.Counter runs once per never-seen reason
-		s.met.dropCounter(reason).Inc()
-		if len(s.met.deviceDrops) > 0 {
-			s.met.deviceDrops[r.Device].Inc()
-		}
-		vr, jit := s.qos.Gauges()
-		s.met.violRate.Set(vr)
-		s.met.jitter.Set(jit)
-	}
-	s.emit(trace.Event{AtMs: nowMs, Kind: trace.Shed, ReqID: r.ID, Model: r.Model, Block: r.Next,
-		Device: r.Device, Detail: reason})
-	//lint:ignore hotalloc the resolved error must carry request identity for the client; sheds are the rare path
-	s.resolveLocked(r.ID, outcome{err: fmt.Errorf("%w (request %d, %s)", cause, r.ID, r.Model)})
-}
-
 // resolveLocked queues the waiter's outcome for delivery and forgets the
 // waiter. Caller holds s.mu.
 func (s *Server) resolveLocked(id int, out outcome) {
@@ -950,8 +580,8 @@ func (s *Server) nowMs() float64 {
 	return float64(time.Since(s.start)) / float64(time.Millisecond) / s.cfg.TimeScale
 }
 
-// Start begins serving RPCs on l and launches the executor. It returns
-// immediately; Stop or Drain shuts everything down.
+// Start begins serving RPCs on l and launches the lane executors. It
+// returns immediately; Stop or Drain shuts everything down.
 func (s *Server) Start(l net.Listener) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -960,11 +590,12 @@ func (s *Server) Start(l net.Listener) error {
 	}
 	s.start = time.Now()
 	s.listener = l
-	s.running = len(s.devs)
-	s.wg.Add(1 + len(s.devs))
+	lanes := s.eng.Lanes()
+	s.running = lanes
+	s.wg.Add(1 + lanes)
 	go s.acceptLoop()
-	for _, dv := range s.devs {
-		go s.executor(dv)
+	for lane := 0; lane < lanes; lane++ {
+		go s.executor(lane)
 	}
 	return nil
 }
@@ -980,9 +611,9 @@ func (s *Server) Addr() string {
 }
 
 // Stop closes the listener, sheds every queued request with ErrStopped,
-// and stops the executor after the current block — whose request is NOT
-// shed: if that block completes its plan, the completion is delivered to
-// its client, otherwise the client receives ErrStopped at the boundary.
+// and stops the executors after their current block — whose request is
+// NOT shed: if that block completes its plan, the completion is delivered
+// to its client, otherwise the client receives ErrStopped at the boundary.
 // For a shutdown that finishes the backlog first, use Drain.
 func (s *Server) Stop() {
 	s.mu.Lock()
@@ -995,20 +626,8 @@ func (s *Server) Stop() {
 	if s.listener != nil {
 		s.listener.Close()
 	}
-	now := s.nowMs()
-	for _, dv := range s.devs {
-		for {
-			r := dv.queue.PopFront()
-			if r == nil {
-				break
-			}
-			s.shedLocked(now, r, DropStopped, ErrStopped)
-		}
-		s.setDeviceDepth(dv)
-	}
-	if s.met != nil {
-		s.met.queueDepth.SetInt(0)
-	}
+	s.eng.ShedQueued(s.nowMs(), DropStopped)
+	s.refreshDepths()
 	s.cond.Broadcast()
 	evs, dels := s.takeOut()
 	s.mu.Unlock()
@@ -1016,12 +635,13 @@ func (s *Server) Stop() {
 	s.wg.Wait()
 }
 
-// Drain stops accepting new work and lets the executor finish the backlog.
-// If the backlog is not done within timeout, every still-queued request is
-// shed with ErrDrained and the in-flight request is shed at its next block
-// boundary (or delivered, if that boundary completes it). Drain returns
-// the number of requests shed, 0 for a clean drain. Calling Drain on an
-// already-closed server just waits for shutdown to finish.
+// Drain stops accepting new work and lets the executors finish the
+// backlog. If the backlog is not done within timeout, every still-queued
+// request is shed with ErrDrained and the in-flight requests are shed at
+// their next block boundary (or delivered, if that boundary completes
+// them). Drain returns the number of requests shed, 0 for a clean drain.
+// Calling Drain on an already-closed server just waits for shutdown to
+// finish.
 func (s *Server) Drain(timeout time.Duration) int {
 	s.mu.Lock()
 	if s.closed {
@@ -1035,7 +655,7 @@ func (s *Server) Drain(timeout time.Duration) int {
 		s.listener.Close()
 	}
 	s.emit(trace.Event{AtMs: s.nowMs(), Kind: trace.DrainStart, ReqID: -1,
-		Detail: fmt.Sprintf("depth=%d timeout=%s", s.depthLocked(), timeout)})
+		Detail: fmt.Sprintf("depth=%d timeout=%s", s.eng.Depth(), timeout)})
 	s.cond.Broadcast()
 	evs, dels := s.takeOut()
 	s.mu.Unlock()
@@ -1052,28 +672,16 @@ func (s *Server) Drain(timeout time.Duration) int {
 	case <-time.After(timeout):
 	}
 
-	// Timed out: shed the backlog and demote the in-flight request's
+	// Timed out: shed the backlog and demote the in-flight requests'
 	// eventual boundary outcome to "drained".
 	s.mu.Lock()
 	shed := 0
 	if s.draining {
 		s.draining = false
-		s.stopReason, s.stopCause = DropDrained, ErrDrained
+		s.stopReason = DropDrained
 		now := s.nowMs()
-		for _, dv := range s.devs {
-			for {
-				r := dv.queue.PopFront()
-				if r == nil {
-					break
-				}
-				s.shedLocked(now, r, DropDrained, ErrDrained)
-				shed++
-			}
-			s.setDeviceDepth(dv)
-		}
-		if s.met != nil {
-			s.met.queueDepth.SetInt(0)
-		}
+		shed = s.eng.ShedQueued(now, DropDrained)
+		s.refreshDepths()
 		s.emit(trace.Event{AtMs: now, Kind: trace.DrainEnd, ReqID: -1,
 			Detail: fmt.Sprintf("timeout, shed=%d", shed)})
 		s.cond.Broadcast()
@@ -1086,7 +694,7 @@ func (s *Server) Drain(timeout time.Duration) int {
 }
 
 // Cancel removes a queued request (its client receives ErrCanceled) or
-// marks the in-flight request cancel-at-next-boundary, and reports which.
+// marks an in-flight request cancel-at-next-boundary, and reports which.
 // Unknown IDs — never enqueued, already completed, already shed — return
 // CancelUnknown.
 func (s *Server) Cancel(id int) CancelState {
@@ -1099,59 +707,31 @@ type CancelState string
 // Cancel outcomes.
 const (
 	// CancelQueued: the request was waiting and has been removed and shed.
-	CancelQueued CancelState = "queued"
+	CancelQueued CancelState = policy.CanceledQueued
 	// CancelInflight: the request is executing a block; it will be shed at
 	// the next block boundary instead of continuing its plan.
-	CancelInflight CancelState = "inflight"
+	CancelInflight CancelState = policy.CanceledInflight
 	// CancelUnknown: no pending request with that ID.
 	CancelUnknown CancelState = "unknown"
 )
 
 func (s *Server) cancel(id int, why string) CancelState {
 	s.mu.Lock()
-	state := s.cancelLocked(id, why)
+	now := s.nowMs()
+	state, marked := s.eng.Cancel(id, now, why)
+	if marked && s.cfg.ArrivalRecorder != nil {
+		s.cfg.ArrivalRecorder.ObserveCancel(id, now)
+	}
+	if state == policy.CanceledQueued {
+		s.refreshDepths()
+	}
 	evs, dels := s.takeOut()
 	s.mu.Unlock()
 	s.deliver(evs, dels)
-	return state
-}
-
-// cancelLocked is the body of cancel: it searches every device's queue,
-// then every device's in-flight slot. Caller holds s.mu.
-func (s *Server) cancelLocked(id int, why string) CancelState {
-	now := s.nowMs()
-	for _, dv := range s.devs {
-		if r := dv.queue.Remove(id); r != nil {
-			r.Canceled = true
-			s.emit(trace.Event{AtMs: now, Kind: trace.Cancel, ReqID: id, Model: r.Model,
-				Block: r.Next, Device: r.Device, Part: r.Partition, Detail: "queued: " + why})
-			s.shedLocked(now, r, DropCanceled, ErrCanceled)
-			if s.met != nil {
-				s.met.queueDepth.SetInt(s.depthLocked())
-			}
-			s.setDeviceDepth(dv)
-			if s.cfg.ArrivalRecorder != nil {
-				s.cfg.ArrivalRecorder.ObserveCancel(id, now)
-			}
-			return CancelQueued
-		}
+	if state == "" {
+		return CancelUnknown
 	}
-	for _, dv := range s.devs {
-		// The grant holder may be a scalar in-flight request or any member
-		// of the current micro-batch; either way it sheds at the boundary.
-		if m := dv.executing(id); m != nil {
-			if !m.Canceled {
-				m.Canceled = true
-				s.emit(trace.Event{AtMs: now, Kind: trace.Cancel, ReqID: id, Model: m.Model,
-					Block: m.Next, Device: dv.id, Part: dv.part, Detail: "inflight: " + why})
-				if s.cfg.ArrivalRecorder != nil {
-					s.cfg.ArrivalRecorder.ObserveCancel(id, now)
-				}
-			}
-			return CancelInflight
-		}
-	}
-	return CancelUnknown
+	return CancelState(state)
 }
 
 func (s *Server) acceptLoop() {
@@ -1179,35 +759,46 @@ func (s *Server) serveConn(conn net.Conn) {
 	resp.cancelOrphans()
 }
 
-// executor is one device's token scheduler + assigner: it repeatedly
-// grants the device token to its queue head and executes that request's
-// next block, shedding doomed work at every block boundary. A fleet runs
-// one executor per device, all sharing s.mu and the condition variable.
-// All lock transitions stay in this function so the buffered events and
+// executor is one lane's token assigner: it repeatedly asks the engine for
+// the lane's next grant, holds the device for the grant's wall-clock
+// duration with s.mu released, and settles the grant at the boundary. All
+// lock transitions stay in this function so the buffered events and
 // outcomes are always flushed with s.mu released.
 //
 //lint:hotpath the executor loop is the serving-path grant loop: one iteration per device hold
-func (s *Server) executor(dv *srvDevice) {
+func (s *Server) executor(lane int) {
 	defer s.wg.Done()
+	dev := lane / s.eng.Parts()
 	// Label the executor goroutine so CPU/goroutine profiles from
 	// /debug/pprof split by device; per-block model/phase labels are applied
 	// around the device hold below.
 	idleCtx := pprof.WithLabels(context.Background(),
-		pprof.Labels("subsystem", "executor", "device", strconv.Itoa(dv.id)))
+		pprof.Labels("subsystem", "executor", "device", strconv.Itoa(dev)))
 	pprof.SetGoroutineLabels(idleCtx)
 	defer pprof.SetGoroutineLabels(context.Background())
+	// Hold label sets are built once per (model, block) and reused.
+	//lint:ignore hotalloc one label cache per executor goroutine, filled once per (model, block)
+	holdCtx := make(map[holdLabel]context.Context)
 	s.mu.Lock()
 	for {
-		r := s.pickLocked(dv)
-		if r == nil {
-			// pickLocked returns nil for an empty queue OR a covered anchor
-			// slot; a draining lane that still holds work is the latter and
-			// must wait for the sibling's release, not exit.
-			if s.closed && (!s.draining || dv.queue.Len() == 0) {
-				// Stopped, or draining with this device's backlog empty:
-				// exit. The last executor out of a drain owns the clean
-				// DrainEnd — earlier exits would end the drain while other
-				// devices still hold work.
+		start := s.nowMs()
+		var g *policy.Grant
+		if !s.closed || s.draining {
+			waiting := s.eng.Queue(lane).Len()
+			g = s.eng.Grant(lane, start)
+			if s.eng.Queue(lane).Len() != waiting {
+				s.refreshDepth(dev)
+			}
+		}
+		if g == nil {
+			// No grant: an empty queue OR a covered anchor slot; a draining
+			// lane that still holds work is the latter and must wait for the
+			// sibling's release, not exit.
+			if s.closed && (!s.draining || s.eng.Queue(lane).Len() == 0) {
+				// Stopped, or draining with this lane's backlog empty: exit.
+				// The last executor out of a drain owns the clean DrainEnd —
+				// earlier exits would end the drain while other lanes still
+				// hold work.
 				s.running--
 				if s.draining && s.running == 0 {
 					s.draining = false
@@ -1231,145 +822,58 @@ func (s *Server) executor(dv *srvDevice) {
 			s.cond.Wait()
 			continue
 		}
-
-		// Execute r's next block on the (simulated) device, retrying
-		// injected transient failures within the fault budget. When
-		// micro-batching is on and r leads a same-type run at this block
-		// boundary, the grant coalesces up to BatchMax members that all
-		// advance the same block in one hold (batchCost prices it); with
-		// batching off the loop below is exactly the scalar path.
-		now := s.nowMs()
-		batch := s.planner.FormInto(dv.scratch[:0], dv.queue, r, now)
-		dv.scratch = batch
-		n := len(batch)
-		batchID := 0
-		if n > 1 {
-			s.nextBatchID++
-			batchID = s.nextBatchID
+		if n := g.Size(); n > 1 && s.met != nil && s.met.batchedBlocks != nil {
+			s.met.batchedBlocks.Inc()
+			s.met.batchSize.Observe(float64(n))
 		}
-		block := r.Next
-		dur := r.BlockTimes[block]
-		runBase := dur
-		if n > 1 {
-			runBase = s.batchCost.BlockMs(dur, n)
+		// The device hold is the executor's hot phase: label it with the
+		// model and block so profiles attribute occupancy causally.
+		key := holdLabel{g.Leader().Model, g.Block()}
+		ctx := holdCtx[key]
+		if ctx == nil {
+			ctx = pprof.WithLabels(idleCtx, pprof.Labels("phase", "exec", "model", key.model, "block", strconv.Itoa(key.block)))
+			holdCtx[key] = ctx
 		}
-		// Under spatial sharing the hold takes a slot span from the shared
-		// ledger — the identical clamping the simulator applies — and the
-		// block stretches by the efficiency curve at the granted fraction.
-		// frac stays exactly 1 unpartitioned, leaving runBase untouched.
-		frac := 1.0
-		if s.parts > 1 {
-			if n > 1 {
-				frac = dv.ledger.AcquirePartitionBatch(now, dv.part, dv.want, n)
-			} else {
-				frac = dv.ledger.AcquirePartition(now, dv.part, dv.want)
-			}
-			runBase = s.partCost.BlockMs(runBase, frac)
-		}
-		for _, m := range batch {
-			if m.StartMs < 0 {
-				m.StartMs = now
-			}
-			m.Next++
-		}
-		dv.busy = true
-		dv.inflight = r
-		if n > 1 {
-			dv.batch = batch
-		}
-		blockStartMs := now
-		if s.met != nil {
-			s.met.queueDepth.SetInt(s.depthLocked())
-			if n > 1 && s.met.batchedBlocks != nil {
-				s.met.batchedBlocks.Inc()
-				s.met.batchSize.Observe(float64(n))
-			}
-		}
-		s.setDeviceDepth(dv)
-		for _, m := range batch {
-			s.emit(trace.Event{AtMs: now, Kind: trace.StartBlock, ReqID: m.ID, Model: m.Model, Block: block,
-				Device: dv.id, Part: dv.part, Batch: batchID})
-		}
-		blockOK := false
-		for attempt := 0; ; {
-			// Fault draws key on the leader, matching the fleet simulator:
-			// a batch of one replays the scalar fault schedule exactly.
-			fault := dv.faults.Draw(r.ID, block, attempt)
-			runMs := runBase * fault.SpikeFactor
-			if fault.SpikeFactor > 1 && s.tracing {
-				s.emit(trace.Event{AtMs: now, Kind: trace.Fault, ReqID: r.ID, Model: r.Model, Block: block,
-					Device: dv.id, Detail: fmt.Sprintf("spike x%.2f attempt=%d", fault.SpikeFactor, attempt)})
-			}
+		end := start
+		for {
 			evs, dels := s.takeOut()
 			s.mu.Unlock()
 			s.deliver(evs, dels)
-			// The device hold is the executor's hot phase: label it with the
-			// model and block so profiles attribute occupancy causally.
-			pprof.SetGoroutineLabels(pprof.WithLabels(idleCtx,
-				pprof.Labels("phase", "exec", "model", r.Model, "block", strconv.Itoa(block))))
-			time.Sleep(time.Duration(runMs * s.cfg.TimeScale * float64(time.Millisecond)))
+			pprof.SetGoroutineLabels(ctx)
+			time.Sleep(time.Duration(g.HoldMs() * s.cfg.TimeScale * float64(time.Millisecond)))
 			pprof.SetGoroutineLabels(idleCtx)
 			s.mu.Lock()
-			now = s.nowMs()
-			if !fault.Fail {
-				blockOK = true
-				break
+			end = s.nowMs()
+			stop := ""
+			if s.closed && !s.draining {
+				stop = s.stopReason
 			}
-			if dv.faults.Exhausted(attempt) {
-				if s.tracing {
-					s.emit(trace.Event{AtMs: now, Kind: trace.Fault, ReqID: r.ID, Model: r.Model, Block: block,
-						Device: dv.id, Detail: fmt.Sprintf("terminal after %d attempts", attempt+1)})
-				}
-				break
-			}
-			// Re-check the request's fate before spending more device time
-			// on it: an attempt boundary is a block boundary for lifecycle
-			// purposes, and settleLocked sheds for the right reason. Batched
-			// grants don't abandon mid-retry — one member's cancellation or
-			// expiry must not discard its batch-mates' attempt; their fates
-			// settle individually at the boundary.
-			if n == 1 && (r.Canceled || (s.closed && !s.draining) || r.Expired(now)) {
+			if !s.eng.Settle(g, end, stop) {
 				break
 			}
 			if s.met != nil {
 				s.met.retries.Inc()
 			}
-			if s.tracing {
-				s.emit(trace.Event{AtMs: now, Kind: trace.Fault, ReqID: r.ID, Model: r.Model, Block: block,
-					Device: dv.id, Detail: fmt.Sprintf("transient attempt=%d, retrying", attempt)})
-			}
-			attempt++
-		}
-		dv.busy = false
-		dv.inflight = nil
-		dv.batch = nil
-		if s.parts > 1 {
-			dv.ledger.ReleasePartition(now, dv.part)
-			// Sibling lanes may have been waiting for covered anchor slots.
-			s.cond.Broadcast()
 		}
 		// Busy-ms pro-rates by the occupied fraction so per-device sums stay
-		// comparable between temporal and spatial runs (frac is 1 unpartitioned).
-		dv.busyMsTotal += (now - blockStartMs) * frac
+		// comparable between temporal and spatial runs.
+		held := (end - start) * g.Frac()
+		s.busyMs[lane] += held
 		//lint:ignore hotalloc lazy per-window busy buckets: one make per elapsed time window, not per hold
-		s.series.ObserveBusyFrac(dv.id, blockStartMs, now, frac)
+		s.series.ObserveBusyFrac(dev, start, end, g.Frac())
 		if s.met != nil && len(s.met.deviceBusyMs) > 0 {
-			s.met.deviceBusyMs[dv.id].Add((now - blockStartMs) * frac)
-			s.met.deviceBlocks[dv.id].Inc()
+			s.met.deviceBusyMs[dev].Add(held)
+			s.met.deviceBlocks[dev].Inc()
 		}
 		if s.met != nil && len(s.met.partBusyMs) > 0 {
-			s.met.partBusyMs[dv.lane].Add((now - blockStartMs) * frac)
-			s.met.partBlocks[dv.lane].Inc()
-			s.met.partWidth[dv.lane].SetInt(int(frac*float64(s.parts) + 0.5))
+			s.met.partBusyMs[lane].Add(held)
+			s.met.partBlocks[lane].Inc()
+			s.met.partWidth[lane].SetInt(int(g.Frac()*float64(s.eng.Parts()) + 0.5))
 		}
-		for _, m := range batch {
-			s.emit(trace.Event{AtMs: now, Kind: trace.EndBlock, ReqID: m.ID, Model: m.Model, Block: block,
-				Device: dv.id, Part: dv.part, Batch: batchID})
-		}
-		// Settle in grant (FIFO) order so completions and re-inserts keep
-		// the arrival order the batch was formed under.
-		for _, m := range batch {
-			s.settleLocked(now, dv, m, blockOK)
+		s.refreshDepth(dev) // Settle may have re-inserted preempted work
+		if s.eng.Parts() > 1 {
+			// Sibling lanes may have been waiting for covered anchor slots.
+			s.cond.Broadcast()
 		}
 		evs, dels := s.takeOut()
 		s.mu.Unlock()
@@ -1378,126 +882,10 @@ func (s *Server) executor(dv *srvDevice) {
 	}
 }
 
-// pickLocked sweeps doomed queued requests on one device — so an expired
-// request never takes its token — and pops the device's next runnable one.
-// It returns nil when the device's queue is empty or the server is past
-// accepting work; the executor decides between idling and exiting. Caller
-// holds s.mu.
-//
-//lint:hotpath every device grant starts with the boundary sweep and pop
-func (s *Server) pickLocked(dv *srvDevice) *sched.Request {
-	// A lane whose anchor slot is covered by a sibling's wide hold must
-	// wait for that hold's release (which broadcasts) — popping now would
-	// panic the ledger's exclusivity invariant.
-	if s.parts > 1 && dv.ledger.PartitionBusy(dv.part) {
-		return nil
-	}
-	now := s.nowMs()
-	//lint:ignore hotalloc SweepExpired allocates only when something actually expired — the shed path, not the steady grant loop
-	if shed := dv.queue.SweepExpired(now, s.cfg.PredictiveShed); len(shed) > 0 {
-		for _, r := range shed {
-			s.shedLocked(now, r, DropDeadline, ErrDeadlineExceeded)
-		}
-		if s.met != nil {
-			s.met.queueDepth.SetInt(s.depthLocked())
-		}
-		s.setDeviceDepth(dv)
-	}
-	if s.closed && !s.draining {
-		return nil
-	}
-	return dv.queue.PopFront()
-}
-
-// settleLocked decides a request's fate at its block boundary: deliver the
-// completion, shed it (cancel, shutdown, deadline, device fault), or
-// re-insert it into its device's queue. Caller holds s.mu.
-//
-//lint:hotpath every granted block settles here at its boundary
-func (s *Server) settleLocked(nowMs float64, dv *srvDevice, r *sched.Request, blockOK bool) {
-	switch {
-	case blockOK && r.Finished():
-		// Work is done — deliver even if the request was canceled or the
-		// server is stopping: the client paid for the answer.
-		r.DoneMs = nowMs
-		s.served++
-		agg := s.perModel[r.Model]
-		if agg == nil {
-			//lint:ignore hotalloc one aggregate per model name over the server lifetime, not per grant
-			agg = &modelAgg{}
-			s.perModel[r.Model] = agg
-		}
-		rr := r.ResponseRatio()
-		agg.served++
-		agg.sumRR += rr
-		if rr > agg.maxRR {
-			agg.maxRR = rr
-		}
-		agg.sumWaitMs += r.E2EMs() - r.ExtMs
-		if rr > s.cfg.Alpha {
-			agg.violations++
-		}
-		agg.preempts += r.Preemptions
-		s.observeCompletion(r, rr)
-		if s.tracing {
-			s.emit(trace.Event{AtMs: nowMs, Kind: trace.Complete, ReqID: r.ID, Model: r.Model,
-				Device: r.Device, Detail: fmt.Sprintf("rr=%.3f preempts=%d", rr, r.Preemptions)})
-		}
-		s.resolveLocked(r.ID, outcome{req: r})
-	case r.Canceled:
-		s.shedLocked(nowMs, r, DropCanceled, ErrCanceled)
-	case s.closed && !s.draining:
-		s.shedLocked(nowMs, r, s.stopReason, s.stopCause)
-	case r.Expired(nowMs):
-		s.shedLocked(nowMs, r, DropDeadline, ErrDeadlineExceeded)
-	case !blockOK:
-		s.shedLocked(nowMs, r, DropDeviceFault, ErrDeviceFault)
-	default:
-		if pos := dv.queue.InsertGreedy(nowMs, r); pos > 0 {
-			r.Preemptions++
-			if s.met != nil {
-				s.met.preemptions.Inc()
-			}
-			if s.tracing {
-				s.emit(trace.Event{AtMs: nowMs, Kind: trace.Preempt, ReqID: r.ID, Model: r.Model,
-					Block: r.Next, Device: r.Device, Detail: fmt.Sprintf("pos=%d", pos)})
-			}
-		}
-		if s.met != nil {
-			s.met.queueDepth.SetInt(s.depthLocked())
-		}
-		s.setDeviceDepth(dv)
-	}
-}
-
-// observeCompletion feeds the rolling QoS window and completion metrics.
-// Caller holds s.mu.
-func (s *Server) observeCompletion(r *sched.Request, rr float64) {
-	rec := policy.Record{
-		ID: r.ID, Model: r.Model, Class: r.Class,
-		ArriveMs: r.ArriveMs, StartMs: r.StartMs, DoneMs: r.DoneMs,
-		ExtMs: r.ExtMs, Preemptions: r.Preemptions,
-		Split: len(r.BlockTimes) > 1, Device: r.Device,
-	}
-	s.qos.Observe(rec)
-	s.series.ObserveOutcome(rec)
-	if s.fwin != nil {
-		alpha := s.cfg.Alpha
-		if r.AlphaOverride > 0 {
-			alpha = r.AlphaOverride
-		}
-		s.fwin.Observe(rr > alpha)
-	}
-	if s.met == nil {
-		return
-	}
-	s.met.completions[r.Model].Inc()
-	s.met.waitMs.Observe(r.E2EMs() - r.ExtMs)
-	s.met.e2eMs.Observe(r.E2EMs())
-	s.met.rr.Observe(rr)
-	vr, jit := s.qos.Gauges()
-	s.met.violRate.Set(vr)
-	s.met.jitter.Set(jit)
+// holdLabel keys an executor's cached profiler label sets.
+type holdLabel struct {
+	model string
+	block int
 }
 
 // enqueue wraps a model request (request wrapper + token scheduler insert)
@@ -1525,125 +913,45 @@ func (s *Server) enqueueLocked(modelName string, deadlineMs float64) (int, chan 
 		s.drop(now, modelName, DropStopped)
 		return 0, nil, ErrStopped
 	}
-	info, ok := s.cfg.Catalog[modelName]
-	if !ok {
+	if _, ok := s.cfg.Catalog[modelName]; !ok {
 		s.drop(now, modelName, DropUnknownModel)
 		return 0, nil, fmt.Errorf("%w: %q", ErrUnknownModel, modelName)
 	}
-	// Front door, in the simulator's exact decision order: admission gate,
-	// then the throttled autoscale evaluation, then placement — any other
-	// interleaving would let the two layers' decisions diverge under the
-	// same schedule (splitRun.arrive is the mirror).
-	if s.admit != nil {
-		if ok, detail := s.admit.Admit(now, info.ExtMs, s.cfg.Alpha, s.admitViewLocked()); !ok {
-			s.dropped++
-			if s.met != nil {
-				s.met.dropCounter(DropAdmission).Inc()
-			}
-			s.emit(trace.Event{AtMs: now, Kind: trace.Drop, ReqID: -1, Model: modelName,
-				Detail: DropAdmission + ": " + detail})
-			s.autoscaleLocked(now)
-			return 0, nil, fmt.Errorf("%w (%s: %s)", ErrAdmissionRejected, modelName, detail)
+	// The front door runs in two engine steps so the legacy queue cap sits
+	// between them: admission + autoscale, then placement + insertion.
+	ok, detail := s.eng.Admit(-1, modelName, now)
+	if !ok {
+		s.dropped++
+		if s.met != nil {
+			s.met.dropCounter(DropAdmission).Inc()
 		}
-		if s.met != nil && s.met.admitted != nil {
-			s.met.admitted.Inc()
-		}
+		return 0, nil, fmt.Errorf("%w (%s: %s)", ErrAdmissionRejected, modelName, detail)
 	}
-	s.autoscaleLocked(now)
-	if depth := s.depthLocked(); s.cfg.MaxQueue > 0 && depth >= s.cfg.MaxQueue {
+	if s.met != nil && s.met.admitted != nil {
+		s.met.admitted.Inc()
+	}
+	if depth := s.eng.Depth(); s.cfg.MaxQueue > 0 && depth >= s.cfg.MaxQueue {
 		s.drop(now, modelName, DropQueueFull)
 		return 0, nil, fmt.Errorf("%w: %d waiting", ErrQueueFull, depth)
 	}
 	id := s.nextID
 	s.nextID++
-	plan := s.cfg.Catalog.BlocksFor(modelName)
-	planned := 0.0
-	for _, b := range plan {
-		planned += b
-	}
-	view := s.fleetViewLocked()
-	preq := place.Request{ID: id, Model: modelName, ExtMs: info.ExtMs, PlannedMs: planned}
-	var devID, lane int
-	if s.spatial != nil {
-		dec := s.spatial.Decide(preq, view)
-		devID, lane = dec.Device, place.LaneOf(dec.Device, dec.Partition, s.parts)
-	} else {
-		devID = s.placer.Place(preq, view)
-		lane = devID
-	}
-	if lane < 0 || lane >= len(view) {
-		devID, lane = 0, 0
-	}
-	dv := s.devs[lane]
-	if len(s.devs) > 1 && s.tracing {
-		s.emit(trace.Event{AtMs: now, Kind: trace.Place, ReqID: id, Model: modelName,
-			Device: devID, Part: dv.part, Detail: fmt.Sprintf("policy=%s depth=%d", s.placer.Name(), view[lane].Queued)})
-	}
-	blocks := plan
-	if len(blocks) > 1 {
-		// The §3.3 same-type run the arrival would join includes the
-		// request occupying the placed device, not just its queued
-		// neighbors (sched.Elastic.ShouldSplitWith).
-		split := s.cfg.Elastic.ShouldSplitWith(dv.queue, modelName, dv.inflight)
-		if !split {
-			blocks = []float64{info.ExtMs}
-		}
-		s.setElastic(now, !split)
-	}
-	r := sched.NewRequest(id, modelName, info.Class, now, info.ExtMs, blocks)
-	r.Device = devID
-	r.Partition = dv.part
-	if alpha, ok := s.cfg.AlphaByClass[info.Class]; ok {
-		r.AlphaOverride = alpha
-	}
-	if deadlineMs > 0 {
-		r.DeadlineMs = now + deadlineMs
-	} else if s.cfg.EnforceDeadlines {
-		r.SetDeadline(s.cfg.Alpha)
-	}
 	if s.met != nil {
 		s.met.requests[modelName].Inc()
 	}
-	s.emit(trace.Event{AtMs: now, Kind: trace.Arrive, ReqID: id, Model: modelName,
-		Device: devID, Part: dv.part, Detail: fmt.Sprintf("blocks=%d", len(blocks))})
-	dv.queue.InsertGreedy(now, r)
+	r := s.eng.Arrive(id, modelName, deadlineMs, now)
 	s.series.ObserveArrival(now)
-	s.series.ObserveDepth(now, s.depthLocked())
-	if s.met != nil {
-		s.met.queueDepth.SetInt(s.depthLocked())
-	}
-	s.setDeviceDepth(dv)
+	s.series.ObserveDepth(now, s.eng.Depth())
+	s.refreshDepth(r.Device)
 	ch := make(chan outcome, 1)
 	s.waiters[id] = ch
 	if s.cfg.ArrivalRecorder != nil {
 		s.cfg.ArrivalRecorder.Observe(id, modelName, now, deadlineMs)
 	}
-	// Broadcast, not Signal: only the placed device's executor can run this
+	// Broadcast, not Signal: only the placed lane's executor can run this
 	// request, and Signal could wake a different one.
 	s.cond.Broadcast()
 	return id, ch, nil
-}
-
-// setElastic tracks §3.3 elastic-mode transitions for the gauge and the
-// event stream. Caller holds s.mu.
-func (s *Server) setElastic(nowMs float64, suppressed bool) {
-	if s.met != nil {
-		if suppressed {
-			s.met.elastic.Set(1)
-		} else {
-			s.met.elastic.Set(0)
-		}
-	}
-	if suppressed == s.elasticSuppressed {
-		return
-	}
-	s.elasticSuppressed = suppressed
-	kind := trace.ElasticOff
-	if suppressed {
-		kind = trace.ElasticOn
-	}
-	s.emit(trace.Event{AtMs: nowMs, Kind: kind, ReqID: -1,
-		Detail: fmt.Sprintf("depth=%d", s.depthLocked())})
 }
 
 // QueuedRequest is one waiting request in a QueueSnapshot.
@@ -1714,16 +1022,16 @@ func (s *Server) QueueSnapshot() QueueSnapshot {
 	snap := QueueSnapshot{
 		NowMs:             now,
 		Alpha:             s.cfg.Alpha,
-		Depth:             s.depthLocked(),
-		Busy:              s.anyBusyLocked(),
+		Depth:             s.eng.Depth(),
 		Draining:          s.draining,
 		Served:            s.served,
 		Dropped:           s.dropped,
 		ElasticSuppressed: s.elasticSuppressed,
-		Requests:          make([]QueuedRequest, 0, s.depthLocked()),
+		Requests:          make([]QueuedRequest, 0, s.eng.Depth()),
 	}
-	for _, dv := range s.devs {
-		for i, r := range dv.queue.Requests() {
+	lanes := s.eng.Lanes()
+	for lane := 0; lane < lanes; lane++ {
+		for i, r := range s.eng.Queue(lane).Requests() {
 			snap.Requests = append(snap.Requests, QueuedRequest{
 				ID:          r.ID,
 				Model:       r.Model,
@@ -1739,17 +1047,21 @@ func (s *Server) QueueSnapshot() QueueSnapshot {
 				Part:        r.Partition,
 			})
 		}
+		if s.eng.Inflight(lane) != nil {
+			snap.Busy = true
+		}
 	}
-	if s.scaler != nil {
-		snap.ActiveDevices = s.active
+	if s.cfg.Fleet.Enabled() {
+		snap.ActiveDevices = s.eng.Active()
 	}
-	if len(s.devs) > 1 {
-		snap.Placement = s.placer.Name()
-		for _, dv := range s.devs {
-			ds := DeviceSnapshot{Device: dv.id, Part: dv.part, Depth: dv.queue.Len(), Busy: dv.busy,
-				InflightID: -1, BusyMsTotal: dv.busyMsTotal}
-			if dv.inflight != nil {
-				ds.InflightID = dv.inflight.ID
+	if lanes > 1 {
+		snap.Placement = s.eng.Placer().Name()
+		parts := s.eng.Parts()
+		for lane := 0; lane < lanes; lane++ {
+			ds := DeviceSnapshot{Device: lane / parts, Part: lane % parts, Depth: s.eng.Queue(lane).Len(),
+				InflightID: -1, BusyMsTotal: s.busyMs[lane]}
+			if r := s.eng.Inflight(lane); r != nil {
+				ds.Busy, ds.InflightID = true, r.ID
 			}
 			snap.Devices = append(snap.Devices, ds)
 		}
@@ -1792,7 +1104,7 @@ func (s *Server) Health() Health {
 		Models:     len(s.cfg.Catalog),
 		Served:     s.served,
 		Dropped:    s.dropped,
-		QueueDepth: s.depthLocked(),
+		QueueDepth: s.eng.Depth(),
 		Version:    obs.BuildVersion(),
 		GoVersion:  runtime.Version(),
 	}
@@ -1989,7 +1301,7 @@ func (r *Responder) Stats(_ struct{}, reply *StatsReply) error {
 	defer r.srv.mu.Unlock()
 	*reply = StatsReply{
 		Served: r.srv.served,
-		Queued: r.srv.depthLocked(),
+		Queued: r.srv.eng.Depth(),
 		Models: len(r.srv.cfg.Catalog),
 	}
 	if !r.srv.start.IsZero() {
@@ -2044,10 +1356,8 @@ func (r *Responder) ModelStats(_ struct{}, reply *ModelStatsReply) error {
 }
 
 // Client is a thin wrapper over the rpc client. Dial negotiates the
-// protocol version with a Hello handshake; against v2 servers the client
-// uses the *V2 methods so typed errors (errors.Is) survive the wire, and
-// against v1 servers it falls back to prefix-matching the stable error
-// messages.
+// protocol version with a Hello handshake, and the client uses the *V2
+// methods so typed errors (errors.Is) survive the wire.
 type Client struct {
 	rpc        *rpc.Client
 	proto      int
@@ -2057,44 +1367,40 @@ type Client struct {
 	partitions int
 }
 
-// Dial connects to a SPLIT server and negotiates the protocol version.
+// Dial connects to a SPLIT server and negotiates the protocol version; it
+// fails if the handshake does.
 func Dial(addr string) (*Client, error) {
 	rc, err := rpc.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{rpc: rc, proto: ProtoV1}
 	var hello HelloReply
-	// A v1 server has no Hello method; any handshake failure degrades to
-	// protocol v1 rather than failing the dial.
-	if err := rc.Call("SPLIT.Hello", HelloArgs{Version: ProtoV2}, &hello); err == nil {
-		c.proto = hello.Version
-		c.caps = make(map[string]bool, len(hello.Capabilities))
-		for _, cap := range hello.Capabilities {
-			c.caps[cap] = true
-		}
-		c.devices = hello.Devices
-		c.placement = hello.Placement
-		c.partitions = hello.Partitions
+	if err := rc.Call("SPLIT.Hello", HelloArgs{Version: ProtoV2}, &hello); err != nil {
+		rc.Close()
+		return nil, fmt.Errorf("serve: handshake with %s: %w", addr, err)
+	}
+	c := &Client{rpc: rc, proto: hello.Version, caps: make(map[string]bool, len(hello.Capabilities)),
+		devices: hello.Devices, placement: hello.Placement, partitions: hello.Partitions}
+	for _, cap := range hello.Capabilities {
+		c.caps[cap] = true
 	}
 	return c, nil
 }
 
-// Proto reports the negotiated protocol version (ProtoV1 or ProtoV2).
+// Proto reports the negotiated protocol version.
 func (c *Client) Proto() int { return c.proto }
 
-// Has reports whether the server advertised a capability (always false on
-// protocol v1 servers, which advertise nothing).
+// Has reports whether the server advertised a capability.
 func (c *Client) Has(capability string) bool { return c.caps[capability] }
 
 // Fleet reports the server's device count and placement policy as
-// advertised by the handshake (0, "" against v1 servers).
+// advertised by the handshake.
 func (c *Client) Fleet() (devices int, placement string) {
 	return c.devices, c.placement
 }
 
 // Partitions reports the server's spatial-sharing lane count per device as
-// advertised by the handshake (0 against unpartitioned or older servers).
+// advertised by the handshake (0 against unpartitioned servers).
 func (c *Client) Partitions() int { return c.partitions }
 
 // Infer runs one request synchronously.
@@ -2105,17 +1411,11 @@ func (c *Client) Infer(modelName string) (InferReply, error) {
 // InferDeadline runs one request synchronously with a client-supplied
 // deadline (virtual milliseconds after arrival; 0 = server default).
 func (c *Client) InferDeadline(modelName string, deadlineMs float64) (InferReply, error) {
-	args := InferArgs{Model: modelName, DeadlineMs: deadlineMs}
-	if c.proto >= ProtoV2 {
-		var reply InferV2Reply
-		if err := c.rpc.Call("SPLIT.InferV2", args, &reply); err != nil {
-			return reply.Reply, err
-		}
-		return reply.Reply, ErrorFromCode(reply.Err.Code, reply.Err.Msg)
+	var reply InferV2Reply
+	if err := c.rpc.Call("SPLIT.InferV2", InferArgs{Model: modelName, DeadlineMs: deadlineMs}, &reply); err != nil {
+		return reply.Reply, err
 	}
-	var reply InferReply
-	err := c.rpc.Call("SPLIT.Infer", args, &reply)
-	return reply, errorFromV1(err)
+	return reply.Reply, ErrorFromCode(reply.Err.Code, reply.Err.Msg)
 }
 
 // InferAsync starts a request and returns the pending call.
@@ -2126,31 +1426,20 @@ func (c *Client) InferAsync(modelName string) *rpc.Call {
 
 // Submit enqueues a request and returns its ID without waiting.
 func (c *Client) Submit(modelName string, deadlineMs float64) (int, error) {
-	args := InferArgs{Model: modelName, DeadlineMs: deadlineMs}
-	if c.proto >= ProtoV2 {
-		var reply SubmitV2Reply
-		if err := c.rpc.Call("SPLIT.SubmitV2", args, &reply); err != nil {
-			return reply.Reply.ReqID, err
-		}
-		return reply.Reply.ReqID, ErrorFromCode(reply.Err.Code, reply.Err.Msg)
+	var reply SubmitV2Reply
+	if err := c.rpc.Call("SPLIT.SubmitV2", InferArgs{Model: modelName, DeadlineMs: deadlineMs}, &reply); err != nil {
+		return reply.Reply.ReqID, err
 	}
-	var reply SubmitReply
-	err := c.rpc.Call("SPLIT.Submit", args, &reply)
-	return reply.ReqID, errorFromV1(err)
+	return reply.Reply.ReqID, ErrorFromCode(reply.Err.Code, reply.Err.Msg)
 }
 
 // Wait claims the outcome of a submitted request.
 func (c *Client) Wait(reqID int) (InferReply, error) {
-	if c.proto >= ProtoV2 {
-		var reply InferV2Reply
-		if err := c.rpc.Call("SPLIT.WaitV2", WaitArgs{ReqID: reqID}, &reply); err != nil {
-			return reply.Reply, err
-		}
-		return reply.Reply, ErrorFromCode(reply.Err.Code, reply.Err.Msg)
+	var reply InferV2Reply
+	if err := c.rpc.Call("SPLIT.WaitV2", WaitArgs{ReqID: reqID}, &reply); err != nil {
+		return reply.Reply, err
 	}
-	var reply InferReply
-	err := c.rpc.Call("SPLIT.Wait", WaitArgs{ReqID: reqID}, &reply)
-	return reply, errorFromV1(err)
+	return reply.Reply, ErrorFromCode(reply.Err.Code, reply.Err.Msg)
 }
 
 // Cancel cancels a pending request and reports what it found.

@@ -39,12 +39,7 @@ func testCatalog() policy.Catalog {
 
 func startServer(t *testing.T) (*Server, *Client) {
 	t.Helper()
-	srv, err := NewServer(Config{
-		Catalog:   testCatalog(),
-		Alpha:     4,
-		Elastic:   sched.DefaultElastic(),
-		TimeScale: 1,
-	})
+	srv, err := New(testCatalog(), WithAlpha(4), WithElastic(sched.DefaultElastic()), WithTimeScale(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,10 +60,10 @@ func startServer(t *testing.T) (*Server, *Client) {
 }
 
 func TestNewServerValidation(t *testing.T) {
-	if _, err := NewServer(Config{}); err == nil {
+	if _, err := New(nil); err == nil {
 		t.Error("empty catalog accepted")
 	}
-	srv, err := NewServer(Config{Catalog: testCatalog()})
+	srv, err := New(testCatalog())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,10 +217,7 @@ func TestStopRejectsNewWork(t *testing.T) {
 }
 
 func TestTimeScaleAcceleration(t *testing.T) {
-	srv, err := NewServer(Config{
-		Catalog:   testCatalog(),
-		TimeScale: 0.05, // 20x accelerated
-	})
+	srv, err := New(testCatalog(), WithTimeScale(0.05)) // 20x accelerated
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,13 +291,9 @@ func TestModelStats(t *testing.T) {
 
 // unstartedServer builds a server whose clock is running but whose executor
 // is not, so queue contents are deterministic for enqueue/snapshot tests.
-func unstartedServer(t *testing.T, mut func(*Config)) *Server {
+func unstartedServer(t *testing.T, opts ...Option) *Server {
 	t.Helper()
-	cfg := Config{Catalog: testCatalog(), Alpha: 4, TimeScale: 1}
-	if mut != nil {
-		mut(&cfg)
-	}
-	srv, err := NewServer(cfg)
+	srv, err := New(testCatalog(), append([]Option{WithAlpha(4), WithTimeScale(1)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +304,7 @@ func unstartedServer(t *testing.T, mut func(*Config)) *Server {
 }
 
 func TestEnqueueBeforeStartRejected(t *testing.T) {
-	srv, err := NewServer(Config{Catalog: testCatalog()})
+	srv, err := New(testCatalog())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +323,7 @@ func TestEnqueueBeforeStartRejected(t *testing.T) {
 }
 
 func TestTypedRejectionErrors(t *testing.T) {
-	srv := unstartedServer(t, func(c *Config) { c.MaxQueue = 1 })
+	srv := unstartedServer(t, WithMaxQueue(1))
 	if _, _, err := srv.enqueue("mystery", 0); !errors.Is(err, ErrUnknownModel) {
 		t.Errorf("unknown model: %v", err)
 	}
@@ -359,7 +347,7 @@ func TestTypedRejectionErrors(t *testing.T) {
 
 func TestDropsCountedByReason(t *testing.T) {
 	reg := obs.NewRegistry()
-	srv := unstartedServer(t, func(c *Config) { c.MaxQueue = 1; c.Obs = reg })
+	srv := unstartedServer(t, WithMaxQueue(1), WithObs(reg))
 	srv.enqueue("mystery", 0)
 	srv.enqueue("long", 0)
 	srv.enqueue("short", 0)
@@ -384,11 +372,11 @@ func TestDropsCountedByReason(t *testing.T) {
 func TestElasticSuppressionObserved(t *testing.T) {
 	reg := obs.NewRegistry()
 	ring := trace.NewRing(32)
-	srv := unstartedServer(t, func(c *Config) {
-		c.Obs = reg
-		c.Sink = ring
-		c.Elastic = sched.Elastic{Enabled: true, HighLoadQueueLen: 2}
-	})
+	srv := unstartedServer(t,
+		WithObs(reg),
+		WithSink(ring),
+		WithElastic(sched.Elastic{Enabled: true, HighLoadQueueLen: 2}),
+	)
 	srv.enqueue("long", 0)
 	srv.enqueue("long", 0)
 	// Queue now holds 2 requests: the elastic trigger fires for the third.
@@ -417,7 +405,7 @@ func TestElasticSuppressionObserved(t *testing.T) {
 }
 
 func TestQueueSnapshotContents(t *testing.T) {
-	srv := unstartedServer(t, nil)
+	srv := unstartedServer(t)
 	srv.enqueue("long", 0)
 	srv.enqueue("short", 0)
 	snap := srv.QueueSnapshot()
@@ -444,14 +432,8 @@ func TestQueueSnapshotContents(t *testing.T) {
 func TestLiveMetricsEndToEnd(t *testing.T) {
 	reg := obs.NewRegistry()
 	ring := trace.NewRing(1024)
-	srv, err := NewServer(Config{
-		Catalog:   testCatalog(),
-		Alpha:     4,
-		Elastic:   sched.DefaultElastic(),
-		TimeScale: 0.05,
-		Obs:       reg,
-		Sink:      ring,
-	})
+	srv, err := New(testCatalog(), WithAlpha(4), WithElastic(sched.DefaultElastic()),
+		WithTimeScale(0.05), WithObs(reg), WithSink(ring))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,14 +28,14 @@ func TestSimServeSpanParity(t *testing.T) {
 		arrivals[i] = workload.Arrival{ID: i, Model: "work", AtMs: float64(i), DeadlineMs: d}
 	}
 	simTr := trace.New()
-	(&policy.Split{Alpha: 4}).Run(arrivals, lifecycleCatalog(), simTr)
+	(&policy.Split{Config: policy.Config{Alpha: 4}}).Run(arrivals, lifecycleCatalog(), simTr)
 	simTree := trace.BuildSpans(simTr.Events())
 	if len(simTree.Problems) != 0 {
 		t.Fatalf("sim span problems: %v", simTree.Problems)
 	}
 
 	// Real-time side: same schedule, deadlines supplied per request.
-	srv, _, ring := startLifecycle(t, nil)
+	srv, _, ring := startLifecycle(t)
 	ids := make([]int, len(deadlines))
 	chans := make([]chan outcome, len(deadlines))
 	for i, d := range deadlines {

@@ -6,14 +6,14 @@ package serve
 // wire-stable error-code field carried inside the reply (handlers return
 // nil so net/rpc actually transmits the reply struct), mapped back to the
 // package's typed errors on the client so errors.Is works across the wire.
-// Version and capabilities are negotiated with a Hello handshake; clients
-// and servers of either protocol interoperate (new clients fall back to
-// prefix matching against v1 servers, old clients keep using the v1
-// methods on new servers).
+// Version and capabilities are negotiated with a Hello handshake. The
+// server keeps answering the v1 methods, so old clients still work; the
+// client speaks v2 only.
 
 import (
 	"errors"
-	"strings"
+
+	"split/internal/place"
 )
 
 // Protocol versions negotiated by Hello.
@@ -61,8 +61,7 @@ type HelloReply struct {
 
 // Hello negotiates the protocol version: the server answers with the
 // lower of the two sides' maxima (never below v1) and advertises its
-// capabilities. v1 servers simply do not export this method; Dial treats
-// the resulting "can't find method" as v1.
+// capabilities.
 func (r *Responder) Hello(args HelloArgs, reply *HelloReply) error {
 	v := args.Version
 	if v > ProtoV2 {
@@ -74,11 +73,11 @@ func (r *Responder) Hello(args HelloArgs, reply *HelloReply) error {
 	reply.Version = v
 	reply.Capabilities = []string{CapPlacement, CapAsync, CapCancel, CapErrCodes}
 	r.srv.mu.Lock()
-	reply.Devices = len(r.srv.devs) / r.srv.parts
-	reply.Placement = r.srv.placer.Name()
-	if r.srv.spatial != nil {
-		reply.Placement = r.srv.spatial.Inner().Name()
-		reply.Partitions = r.srv.parts
+	reply.Devices = r.srv.eng.Devices()
+	reply.Placement = r.srv.eng.Placer().Name()
+	if sp, ok := r.srv.eng.Placer().(*place.Spatial); ok {
+		reply.Placement = sp.Inner().Name()
+		reply.Partitions = sp.Parts()
 	}
 	r.srv.mu.Unlock()
 	return nil
@@ -188,21 +187,4 @@ func (r *Responder) SubmitV2(args InferArgs, reply *SubmitV2Reply) error {
 func (r *Responder) WaitV2(args WaitArgs, reply *InferV2Reply) error {
 	reply.Err = toWire(r.Wait(args, &reply.Reply))
 	return nil
-}
-
-// errorFromV1 maps a protocol v1 error — flattened to a string by net/rpc
-// — back to a typed error by prefix-matching the stable messages, so
-// errors.Is works even against old servers. Messages that match no typed
-// error pass through unchanged.
-func errorFromV1(err error) error {
-	if err == nil {
-		return nil
-	}
-	msg := err.Error()
-	for code, typed := range codeToErr {
-		if strings.HasPrefix(msg, typed.Error()) {
-			return &wireError{code: code, msg: msg, typed: typed}
-		}
-	}
-	return err
 }

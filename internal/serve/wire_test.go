@@ -28,8 +28,7 @@ var exportedWireErrors = []error{
 
 // TestWireCodeRoundTripEveryError: every exported error must survive a
 // wire round trip — CodeForError then ErrorFromCode — under errors.Is,
-// preserving the remote message, and the v1 prefix fallback must map the
-// same messages.
+// preserving the remote message.
 func TestWireCodeRoundTripEveryError(t *testing.T) {
 	if len(codeToErr) != len(exportedWireErrors) {
 		t.Fatalf("codeToErr has %d codes, %d exported errors", len(codeToErr), len(exportedWireErrors))
@@ -55,9 +54,6 @@ func TestWireCodeRoundTripEveryError(t *testing.T) {
 		if got := CodeForError(fmt.Errorf("wrapped: %w", typed)); got != code {
 			t.Errorf("wrapped %v maps to %q, want %q", typed, got, code)
 		}
-		if v1 := errorFromV1(errors.New(msg)); !errors.Is(v1, typed) {
-			t.Errorf("v1 prefix mapping lost %v (got %v)", typed, v1)
-		}
 	}
 	if err := ErrorFromCode("", ""); err != nil {
 		t.Errorf("empty code+msg should be nil, got %v", err)
@@ -68,18 +64,15 @@ func TestWireCodeRoundTripEveryError(t *testing.T) {
 	if code := CodeForError(errors.New("some transport error")); code != "" {
 		t.Errorf("untyped error got code %q", code)
 	}
-	if errorFromV1(nil) != nil {
-		t.Error("errorFromV1(nil) != nil")
-	}
 }
 
 // TestHelloNegotiation: Dial negotiates v2 against a new server and the
 // handshake advertises the fleet shape and capabilities.
 func TestHelloNegotiation(t *testing.T) {
-	srv, _, _ := startLifecycle(t, func(c *Config) {
-		c.Devices = 2
-		c.Placement = place.LeastLoaded
-	})
+	srv, _, _ := startLifecycle(t,
+		WithDevices(2),
+		WithPlacement(place.LeastLoaded),
+	)
 	c, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -116,10 +109,10 @@ func TestHelloNegotiation(t *testing.T) {
 // TestProtoV2TypedErrorsAcrossWire: against a v2 server the client's
 // errors satisfy errors.Is for the typed serving errors.
 func TestProtoV2TypedErrorsAcrossWire(t *testing.T) {
-	srv, _, _ := startLifecycle(t, func(c *Config) {
-		c.MaxQueue = 1
-		c.TimeScale = 10 // stretch solo to 300ms so the queue stays stable
-	})
+	srv, _, _ := startLifecycle(t,
+		WithMaxQueue(1),
+		WithTimeScale(10), // stretch solo to 300ms so the queue stays stable
+	)
 	c, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -194,38 +187,14 @@ func startV1Server(t *testing.T, srv *Server) string {
 	return l.Addr().String()
 }
 
-// TestInteropNewClientOldServer: a new client against a v1-only server
-// falls back to protocol v1 and still yields typed errors via the stable
-// message prefixes.
-func TestInteropNewClientOldServer(t *testing.T) {
-	srv, _, _ := startLifecycle(t, nil)
-	addr := startV1Server(t, srv)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.Proto() != ProtoV1 {
-		t.Errorf("proto against v1 server = %d", c.Proto())
-	}
-	if c.Has(CapErrCodes) {
-		t.Error("v1 server advertised capabilities")
-	}
-	if devs, pol := c.Fleet(); devs != 0 || pol != "" {
-		t.Errorf("v1 fleet = (%d, %q)", devs, pol)
-	}
-	if reply, err := c.Infer("quick"); err != nil || reply.Model != "quick" {
-		t.Errorf("v1 infer: %+v, %v", reply, err)
-	}
-	if _, err := c.Infer("nosuch"); !errors.Is(err, ErrUnknownModel) {
-		t.Errorf("v1 unknown model not typed: %v", err)
-	}
-	id, err := c.Submit("quick", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply, err := c.Wait(id); err != nil || reply.Model != "quick" {
-		t.Errorf("v1 submit/wait: %+v, %v", reply, err)
+// TestDialRequiresHandshake: a server without the Hello handshake (a
+// protocol v1 build) is refused at Dial instead of being spoken to in a
+// degraded protocol.
+func TestDialRequiresHandshake(t *testing.T) {
+	srv, _, _ := startLifecycle(t)
+	if c, err := Dial(startV1Server(t, srv)); err == nil {
+		c.Close()
+		t.Fatal("Dial succeeded against a server without Hello")
 	}
 }
 
@@ -233,7 +202,7 @@ func TestInteropNewClientOldServer(t *testing.T) {
 // protocol v1 works unchanged against a new server, including the stable
 // error-message prefixes it relies on.
 func TestInteropOldClientNewServer(t *testing.T) {
-	srv, _, _ := startLifecycle(t, func(c *Config) { c.Devices = 2 })
+	srv, _, _ := startLifecycle(t, WithDevices(2))
 	raw, err := rpc.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)

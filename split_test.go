@@ -189,10 +189,7 @@ func TestPlanPersistenceFacade(t *testing.T) {
 
 func TestServerFacadeEndToEnd(t *testing.T) {
 	graphs := map[string]*Graph{"yolov2": mustLoad(t, "yolov2")}
-	srv, err := NewServer(ServerConfig{
-		Catalog:   NewCatalog(graphs, nil),
-		TimeScale: 0.01,
-	})
+	srv, err := NewServerWith(NewCatalog(graphs, nil), WithTimeScale(0.01))
 	if err != nil {
 		t.Fatal(err)
 	}
