@@ -20,11 +20,38 @@ type Sim struct {
 	now    float64
 	events eventHeap
 	seq    int
+	// feed is the arrival stream installed by Stream; next indexes its
+	// next undelivered arrival, whose time and sequence number are
+	// nextAt and nextSeq. reserved is the last sequence number the
+	// stream reserved for AtSeq.
+	feed     Feed
+	feedLen  int
+	next     int
+	nextAt   float64
+	nextSeq  int
+	reserved int
 	// processed counts executed events, for loop-safety assertions.
 	processed int
 	// MaxEvents aborts runs that exceed this many events (guards against
 	// accidental infinite event loops in policy code). 0 means no limit.
 	MaxEvents int
+}
+
+// Feed is a time-ordered arrival stream that the event loop merges
+// against its heap (see Sim.Stream), so a trace of n arrivals costs
+// neither n heap entries nor n callbacks.
+type Feed interface {
+	// Len is the number of arrivals.
+	Len() int
+	// AtMs is arrival i's time; it must not decrease with i.
+	AtMs(i int) float64
+	// Reserved is how many sequence numbers arrival i reserves, after its
+	// own, for events it schedules with AtSeq when it fires (a client
+	// cancel, say).
+	Reserved(i int) int
+	// Arrive delivers arrival i at now. seq is the arrival's own sequence
+	// number; its reserved ones are seq+1 through seq+Reserved(i).
+	Arrive(i int, now float64, seq int)
 }
 
 // New returns an empty simulator at time 0.
@@ -38,15 +65,38 @@ func (s *Sim) Now() float64 { return s.now }
 // Processed returns the number of events executed so far.
 func (s *Sim) Processed() int { return s.processed }
 
-// At schedules fn to run at absolute time atMs (>= Now). Scheduling in the
-// past panics: it always indicates a policy bug.
-//
-// Events are stored by value in a hand-rolled binary heap: scheduling does
-// not allocate beyond the amortized growth of the heap's backing array
-// (container/heap would heap-allocate and interface-box every event).
-//
-//lint:hotpath every device hold schedules its boundary event here
-func (s *Sim) At(atMs float64, fn func(now float64)) {
+// Stream installs f as the simulator's arrival stream. Events and
+// arrivals run in (time, sequence number) order. Arrival i's sequence
+// number follows those of the arrivals before it and their reserved
+// ones, and every event scheduled with At is numbered after the whole
+// stream. That is the order scheduling each arrival (and each reserved
+// event) with At before running would give, without holding them on the
+// heap: the heap keeps only the events in flight. Stream must be called
+// once, before any event is scheduled; it panics on an arrival time At
+// would reject and on a stream that is not time-ordered.
+func (s *Sim) Stream(f Feed) {
+	if s.feed != nil || len(s.events) > 0 || s.seq > 0 {
+		panic("gpusim: Stream must be installed once, before any event")
+	}
+	n := f.Len()
+	prev := math.Inf(-1)
+	for i := 0; i < n; i++ {
+		at := s.checkTime(f.AtMs(i))
+		if at < prev {
+			panic(fmt.Sprintf("gpusim: stream arrival %d at %.6f before arrival %d at %.6f", i, at, i-1, prev))
+		}
+		prev = at
+		s.seq += 1 + f.Reserved(i)
+	}
+	s.feed, s.feedLen, s.reserved = f, n, s.seq
+	if n > 0 {
+		s.nextAt, s.nextSeq = s.checkTime(f.AtMs(0)), 1
+	}
+}
+
+// checkTime validates an event time against the clock, clamping the
+// sub-nanosecond float drift below now to now.
+func (s *Sim) checkTime(atMs float64) float64 {
 	if atMs < s.now-1e-9 {
 		panic(fmt.Sprintf("gpusim: scheduling event at %.6f before now %.6f", atMs, s.now))
 	}
@@ -56,9 +106,37 @@ func (s *Sim) At(atMs float64, fn func(now float64)) {
 	if atMs < s.now {
 		atMs = s.now
 	}
+	return atMs
+}
+
+// At schedules fn to run at absolute time atMs (>= Now). Scheduling in the
+// past panics: it always indicates a policy bug.
+//
+// Events are stored by value in a hand-rolled binary heap: scheduling does
+// not allocate beyond the amortized growth of the heap's backing array
+// (container/heap would heap-allocate and interface-box every event).
+//
+//lint:hotpath every device hold schedules its boundary event here
+func (s *Sim) At(atMs float64, fn func(now float64)) {
 	s.seq++
+	s.push(s.checkTime(atMs), s.seq, fn)
+}
+
+// AtSeq schedules fn at atMs under seq, a sequence number the stream
+// reserved for the arrival that is firing (see Feed.Reserved).
+func (s *Sim) AtSeq(atMs float64, seq int, fn func(now float64)) {
+	if seq < 1 || seq > s.reserved {
+		panic(fmt.Sprintf("gpusim: sequence number %d was not reserved by the stream", seq))
+	}
+	s.push(s.checkTime(atMs), seq, fn)
+}
+
+// push puts one validated event on the heap.
+//
+//lint:hotpath every scheduled event is pushed here
+func (s *Sim) push(atMs float64, seq int, fn func(now float64)) {
 	//lint:ignore hotalloc amortized heap growth: the backing array reaches steady state and is reused
-	s.events = append(s.events, event{at: atMs, seq: s.seq, fn: fn})
+	s.events = append(s.events, event{at: atMs, seq: seq, fn: fn})
 	s.events.siftUp(len(s.events) - 1)
 }
 
@@ -69,25 +147,39 @@ func (s *Sim) After(delayMs float64, fn func(now float64)) {
 	s.At(s.now+delayMs, fn)
 }
 
-// Run executes events until the queue is empty and returns the final time.
+// Run executes events and stream arrivals until both are exhausted and
+// returns the final time.
 func (s *Sim) Run() float64 {
-	for len(s.events) > 0 {
-		s.step()
+	for s.step(math.Inf(1)) {
 	}
 	return s.now
 }
 
-// RunUntil executes events with time <= t, then sets the clock to t.
+// RunUntil executes events and arrivals with time <= t, then sets the
+// clock to t.
 func (s *Sim) RunUntil(t float64) {
-	for len(s.events) > 0 && s.events[0].at <= t {
-		s.step()
+	for s.step(t) {
 	}
 	if t > s.now {
 		s.now = t
 	}
 }
 
-func (s *Sim) step() {
+// step runs the earliest of the next stream arrival and the heap's top
+// event, by (time, sequence number), if it is due by t, and reports
+// whether it ran one.
+//
+//lint:hotpath the event loop: every arrival and every boundary passes here
+func (s *Sim) step(t float64) bool {
+	if s.next < s.feedLen && s.nextAt <= t &&
+		(len(s.events) == 0 || s.nextAt < s.events[0].at ||
+			(s.nextAt == s.events[0].at && s.nextSeq < s.events[0].seq)) {
+		s.arrive()
+		return true
+	}
+	if len(s.events) == 0 || s.events[0].at > t {
+		return false
+	}
 	ev := s.events[0]
 	last := len(s.events) - 1
 	s.events[0] = s.events[last]
@@ -97,14 +189,39 @@ func (s *Sim) step() {
 		s.events.siftDown(0)
 	}
 	s.now = ev.at
+	s.count()
+	ev.fn(s.now)
+	return true
+}
+
+// arrive delivers the stream's next arrival and advances the cursor.
+//
+//lint:hotpath every stream arrival is delivered here
+func (s *Sim) arrive() {
+	i, seq := s.next, s.nextSeq
+	s.now = s.nextAt
+	s.next++
+	if s.next < s.feedLen {
+		if s.nextAt = s.feed.AtMs(s.next); s.nextAt < s.now {
+			s.nextAt = s.now
+		}
+		s.nextSeq = seq + 1 + s.feed.Reserved(i)
+	}
+	s.count()
+	s.feed.Arrive(i, s.now, seq)
+}
+
+// count tallies one executed event against the MaxEvents budget.
+func (s *Sim) count() {
 	s.processed++
 	if s.MaxEvents > 0 && s.processed > s.MaxEvents {
 		panic("gpusim: event budget exceeded (runaway simulation)")
 	}
-	ev.fn(s.now)
 }
 
-// Pending returns the number of queued events.
+// Pending returns the number of queued events, undelivered stream
+// arrivals excluded: with a stream installed, the heap holds only the
+// boundary timers in flight and the events arrivals scheduled with AtSeq.
 func (s *Sim) Pending() int { return len(s.events) }
 
 type event struct {

@@ -59,37 +59,34 @@ func (c *ClockWork) Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.
 		})
 	}
 
-	for _, a := range arrivals {
-		a := a
-		sim.At(a.AtMs, func(now float64) {
-			info := catalog[a.Model]
-			r := &req{Record: Record{
-				ID:       a.ID,
-				Model:    a.Model,
-				Class:    info.Class,
-				ArriveMs: now,
-				ExtMs:    info.ExtMs,
-			}}
-			if c.DropAlpha > 0 {
-				predicted := (backlogMs + info.ExtMs) / info.ExtMs
-				if predicted > c.DropAlpha {
-					// Dropped: record the predicted completion so the QoS
-					// metrics see the violation the user experienced.
-					r.StartMs = now
-					r.DoneMs = now + backlogMs + info.ExtMs
-					tr.Recordf(now, trace.Drop, r.ID, r.Model, 0, "predicted rr=%.2f", predicted)
-					records = append(records, r.Record)
-					return
-				}
+	sim.Stream(traceFeed{arrivals, func(a *workload.Arrival, now float64) {
+		info := catalog[a.Model]
+		r := &req{Record: Record{
+			ID:       a.ID,
+			Model:    a.Model,
+			Class:    info.Class,
+			ArriveMs: now,
+			ExtMs:    info.ExtMs,
+		}}
+		if c.DropAlpha > 0 {
+			predicted := (backlogMs + info.ExtMs) / info.ExtMs
+			if predicted > c.DropAlpha {
+				// Dropped: record the predicted completion so the QoS
+				// metrics see the violation the user experienced.
+				r.StartMs = now
+				r.DoneMs = now + backlogMs + info.ExtMs
+				tr.Recordf(now, trace.Drop, r.ID, r.Model, 0, "predicted rr=%.2f", predicted)
+				records = append(records, r.Record)
+				return
 			}
-			backlogMs += info.ExtMs
-			queue = append(queue, r)
-			tr.Recordf(now, trace.Arrive, r.ID, r.Model, 0, "pos=%d", len(queue)-1)
-			if !busy {
-				startNext(now)
-			}
-		})
-	}
+		}
+		backlogMs += info.ExtMs
+		queue = append(queue, r)
+		tr.Recordf(now, trace.Arrive, r.ID, r.Model, 0, "pos=%d", len(queue)-1)
+		if !busy {
+			startNext(now)
+		}
+	}})
 	sim.Run()
 	return sortRecords(records)
 }

@@ -145,6 +145,13 @@ type Engine struct {
 	view []place.Load
 	// live indexes undecided requests (queued or in flight) by ID.
 	live map[int]*sched.Request
+	// plans caches each model's block plans by name; a plan built from a
+	// catalog entry that a Deploy has since replaced is rebuilt.
+	plans map[string]*modelPlan
+	// chunk is the storage Arrive carves requests from. A full chunk is
+	// left to the garbage collector, never reused, so an observer may keep
+	// a *sched.Request for as long as it likes.
+	chunk []sched.Request
 
 	// Elastic-fleet state. active is the size of the active device prefix;
 	// devices at or past it are draining (finishing queued work, then
@@ -189,6 +196,21 @@ func (ln *lane) executing(r *sched.Request) bool {
 	}
 	return false
 }
+
+// modelPlan is one model's block plans, shared read-only by all of its
+// requests (sched.Request.BlockTimes aliases them).
+type modelPlan struct {
+	// info is the catalog entry the plans were built from.
+	info *ModelInfo
+	// split is the offline split plan, or unsplit for a model without
+	// one; planned is its total device time.
+	split   []float64
+	unsplit []float64
+	planned float64
+}
+
+// requestChunk is the number of requests carved from one allocation.
+const requestChunk = 256
 
 // Grant is one boundary-delimited device hold: the leader request, the
 // optional batch membership, the block being executed and its fault-retry
@@ -319,6 +341,7 @@ func NewEngine(cfg Config, catalog Catalog, partial bool, observer Observer, sin
 		batchCost: cfg.BatchCost.OrDefault(),
 		view:      make([]place.Load, n*parts),
 		live:      make(map[int]*sched.Request, 8),
+		plans:     make(map[string]*modelPlan, len(catalog)),
 		active:    active,
 		maxActive: active,
 		scaler:    scaler,
@@ -370,14 +393,13 @@ func (e *Engine) Admit(id int, modelName string, now float64) (bool, string) {
 //lint:hotpath every arrival is placed and inserted here
 func (e *Engine) Arrive(id int, modelName string, deadlineMs, now float64) *sched.Request {
 	info := e.catalog[modelName]
-	//lint:ignore hotalloc one private copy of the split plan per request; the request owns its block list
-	plan := e.catalog.BlocksFor(modelName)
-	planned := 0.0
-	for _, b := range plan {
-		planned += b
+	plan := e.plans[modelName]
+	if plan == nil || plan.info != info {
+		//lint:ignore hotalloc built once per catalog entry, then shared by its requests
+		plan = e.planOf(modelName, info)
 	}
 	view := e.fleetView()
-	preq := place.Request{ID: id, Model: modelName, ExtMs: info.ExtMs, PlannedMs: planned}
+	preq := place.Request{ID: id, Model: modelName, ExtMs: info.ExtMs, PlannedMs: plan.planned}
 	var devID, idx int
 	if e.spatial != nil {
 		dec := e.spatial.Decide(preq, view)
@@ -394,19 +416,25 @@ func (e *Engine) Arrive(id int, modelName string, deadlineMs, now float64) *sche
 		e.emit(trace.Event{AtMs: now, Kind: trace.Place, ReqID: id, Model: modelName, Device: devID, Part: ln.part,
 			Detail: fmt.Sprintf("policy=%s depth=%d", e.placer.Name(), view[idx].Queued)})
 	}
-	blocks := plan
-	if len(plan) > 1 {
+	blocks := plan.split
+	if len(blocks) > 1 {
 		// The §3.3 same-type run the arrival would join includes the
 		// request occupying the placed lane, not just its queued neighbors.
 		split := e.cfg.Elastic.ShouldSplitWith(ln.queue, modelName, ln.inflight)
 		if !split {
-			//lint:ignore hotalloc the unsplit plan is the request's own one-block list
-			blocks = []float64{info.ExtMs}
+			blocks = plan.unsplit
 		}
 		e.obs.Elastic(now, !split)
 	}
-	//lint:ignore hotalloc the request itself: one object per arrival
-	r := sched.NewRequest(id, modelName, info.Class, now, info.ExtMs, blocks)
+	if len(e.chunk) == cap(e.chunk) {
+		//lint:ignore hotalloc one allocation per requestChunk arrivals
+		e.chunk = make([]sched.Request, 0, requestChunk)
+	}
+	e.chunk = e.chunk[:len(e.chunk)+1]
+	r := &e.chunk[len(e.chunk)-1]
+	// The sentinels are sched.NewRequest's.
+	*r = sched.Request{ID: id, Model: modelName, Class: info.Class, ArriveMs: now, ExtMs: info.ExtMs,
+		BlockTimes: blocks, StartMs: -1, DoneMs: -1}
 	r.Device = devID
 	r.Partition = ln.part
 	if alpha, ok := e.cfg.AlphaByClass[info.Class]; ok {
@@ -433,6 +461,24 @@ func (e *Engine) Arrive(id int, modelName string, deadlineMs, now float64) *sche
 	}
 	ln.queue.InsertGreedy(now, r)
 	return r
+}
+
+// planOf builds and caches the block plans of catalog entry info: the
+// split plan if the entry has one, else a single unsplit block.
+func (e *Engine) planOf(modelName string, info *ModelInfo) *modelPlan {
+	if info == nil {
+		panic(fmt.Sprintf("policy: unknown model %q", modelName))
+	}
+	p := &modelPlan{info: info, unsplit: []float64{info.ExtMs}}
+	p.split = p.unsplit
+	if info.Plan != nil && len(info.Plan.BlockTimesMs) > 0 {
+		p.split = info.Plan.BlockTimesMs
+	}
+	for _, b := range p.split {
+		p.planned += b
+	}
+	e.plans[modelName] = p
+	return p
 }
 
 // laneOf returns the flat lane index of a placed request.

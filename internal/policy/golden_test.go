@@ -55,6 +55,12 @@ func goldenDeploy(t *testing.T) policy.Catalog {
 // batch cohort. lifecycle adds client deadlines and cancellations.
 func goldenArrivals(t *testing.T, intervalMs float64, lifecycle bool) []workload.Arrival {
 	t.Helper()
+	return cohortArrivals(t, intervalMs, lifecycle, 2000)
+}
+
+// cohortArrivals is goldenArrivals' cohort mix at any length.
+func cohortArrivals(t *testing.T, intervalMs float64, lifecycle bool, count int) []workload.Arrival {
+	t.Helper()
 	interactive := workload.Cohort{
 		Name:    "interactive",
 		Models:  zoo.BenchmarkModels,
@@ -80,7 +86,7 @@ func goldenArrivals(t *testing.T, intervalMs float64, lifecycle bool) []workload
 	}
 	arrivals, err := workload.GenerateCohorts(workload.CohortSetConfig{
 		Cohorts: []workload.Cohort{interactive, burst, batch},
-		Count:   2000,
+		Count:   count,
 		Seed:    11,
 	})
 	if err != nil {
@@ -245,27 +251,160 @@ func TestSimGoldenDigests(t *testing.T) {
 	catalog := goldenDeploy(t)
 	traces := map[[2]any][]workload.Arrival{}
 	for _, tc := range goldenCases {
-		tc := tc
 		key := [2]any{tc.interval, tc.lifecycle}
 		if traces[key] == nil {
 			traces[key] = goldenArrivals(t, tc.interval, tc.lifecycle)
 		}
-		arrivals := traces[key]
-		t.Run(tc.name, func(t *testing.T) {
-			s := policy.NewSplit()
-			tc.configure(s)
-			tr := trace.New()
-			recs, stats := s.RunWithStats(arrivals, catalog, tr)
-			if len(recs) != len(arrivals) {
-				t.Fatalf("%d records for %d arrivals", len(recs), len(arrivals))
-			}
-			gotRecs := digest(append([]any{stats}, anySlice(recs)...))
-			gotEvents := digest(tr.Events())
-			if gotRecs != tc.records || gotEvents != tc.events {
-				t.Errorf("digests changed:\n\trecords: %q,\n\tevents:  %q,", gotRecs, gotEvents)
-			}
-		})
+		checkSplitDigests(t, tc, traces[key], catalog)
 	}
+	ties, tieTrace := tieCatalog(), tieArrivals()
+	for _, tc := range tieCases {
+		checkSplitDigests(t, tc, tieTrace, ties)
+	}
+	heavy := goldenArrivals(t, 15, false)
+	for _, bc := range baselineCases {
+		checkBaselineDigests(t, bc, bc.name, heavy, catalog, bc.records, bc.events)
+		checkBaselineDigests(t, bc, bc.name+"-ties", tieTrace, ties, bc.tieRecords, bc.tieEvents)
+	}
+}
+
+// checkSplitDigests runs tc's SPLIT configuration over arrivals as a
+// subtest and compares its record and event digests.
+func checkSplitDigests(t *testing.T, tc goldenCase, arrivals []workload.Arrival, catalog policy.Catalog) {
+	t.Run(tc.name, func(t *testing.T) {
+		s := policy.NewSplit()
+		tc.configure(s)
+		tr := trace.New()
+		recs, stats := s.RunWithStats(arrivals, catalog, tr)
+		if len(recs) != len(arrivals) {
+			t.Fatalf("%d records for %d arrivals", len(recs), len(arrivals))
+		}
+		gotRecs := digest(append([]any{stats}, anySlice(recs)...))
+		gotEvents := digest(tr.Events())
+		if gotRecs != tc.records || gotEvents != tc.events {
+			t.Errorf("digests changed:\n\trecords: %q,\n\tevents:  %q,", gotRecs, gotEvents)
+		}
+	})
+}
+
+// tieCatalog has binary-exact block times, so block boundaries land
+// exactly on the hand-picked instants of tieArrivals.
+func tieCatalog() policy.Catalog {
+	graphs := map[string]*model.Graph{
+		"long": {Name: "long", Domain: "t", Class: model.Long,
+			Ops: []model.Op{{Name: "a", TimeMs: 10}, {Name: "b", TimeMs: 10}, {Name: "c", TimeMs: 10}}},
+		"mid": {Name: "mid", Domain: "t", Class: model.Long,
+			Ops: []model.Op{{Name: "d", TimeMs: 4}, {Name: "e", TimeMs: 4}}},
+		"short": {Name: "short", Domain: "t", Class: model.Short,
+			Ops: []model.Op{{Name: "x", TimeMs: 5}}},
+	}
+	plans := map[string]*model.SplitPlan{
+		"long": {Model: "long", Cuts: []int{1, 2}, BlockTimesMs: []float64{10, 10, 10}},
+		"mid":  {Model: "mid", Cuts: []int{1}, BlockTimesMs: []float64{4, 4}},
+	}
+	return policy.NewCatalog(graphs, plans)
+}
+
+// tieArrivals is a hand-built trace whose instants collide on purpose, so
+// its digests pin the simulator's tie order between arrivals, cancels and
+// block boundaries:
+//   - id 1 arrives at 10, the instant id 0's first block ends;
+//   - id 2's cancel at 20 coincides with its own block boundary and with
+//     the arrivals of ids 3 and 4;
+//   - id 5 is canceled at exactly its arrival instant;
+//   - id 6's cancel at 45 precedes its arrival at 50 (a no-op);
+//   - at 104, id 9's cancel, id 11's arrival, id 11's cancel and id 9's
+//     block boundary all coincide.
+func tieArrivals() []workload.Arrival {
+	return []workload.Arrival{
+		{ID: 0, Model: "long", AtMs: 0},
+		{ID: 1, Model: "short", AtMs: 10},
+		{ID: 2, Model: "short", AtMs: 12, CancelAtMs: 20},
+		{ID: 3, Model: "long", AtMs: 20},
+		{ID: 4, Model: "mid", AtMs: 20},
+		{ID: 5, Model: "short", AtMs: 40, CancelAtMs: 40},
+		{ID: 6, Model: "short", AtMs: 50, CancelAtMs: 45},
+		{ID: 7, Model: "long", AtMs: 60, CancelAtMs: 70},
+		{ID: 8, Model: "short", AtMs: 70},
+		{ID: 9, Model: "mid", AtMs: 100, CancelAtMs: 104},
+		{ID: 10, Model: "short", AtMs: 100},
+		{ID: 11, Model: "long", AtMs: 104, CancelAtMs: 104},
+		{ID: 12, Model: "mid", AtMs: 130},
+		{ID: 13, Model: "long", AtMs: 130, CancelAtMs: 150},
+		{ID: 14, Model: "short", AtMs: 150},
+	}
+}
+
+var tieCases = []goldenCase{
+	{name: "ties",
+		records:   "c52e4e9275bb296bb5d338872de7c05e26f710bdae1189767964eb74648a14b1",
+		events:    "df3f15b2a3bfbd1138c7ab7b875e436f5586a47bd3f2ce84564b1f5473e48583",
+		configure: func(s *policy.Split) {}},
+	{name: "ties-devices2",
+		records: "0f3f91108a0610c0fa0e3ad5219c5aa7700f3ac35a78083ea0f05254971cec9a",
+		events:  "4da044bb0e9859b4148cf08a05d9f4016805f5a5536dcf6d7f6bf01055682a32",
+		configure: func(s *policy.Split) {
+			s.Devices, s.Placement = 2, place.RoundRobin
+		}},
+	{name: "ties-batch2-deadlines",
+		records: "87b3f2ec8ab5f3779de6833a1fece94d9c316e8b9063f18d455c5db05ea94662",
+		events:  "8bd34d8fb34a91bf0a1f47eaaebf2d8aad92afca19cc1c4ccbe5c8d1baec030f",
+		configure: func(s *policy.Split) {
+			s.BatchMax, s.EnforceDeadlines, s.Alpha = 2, true, 1.5
+		}},
+}
+
+// baselineCase pins one baseline system on the heavy golden trace
+// (records, events) and on the tie trace (tieRecords, tieEvents).
+type baselineCase struct {
+	name                  string
+	system                func() policy.System
+	records, events       string
+	tieRecords, tieEvents string
+}
+
+var baselineCases = []baselineCase{
+	{name: "ClockWork", system: func() policy.System { return policy.NewClockWork() },
+		records:    "e47bf8934cc3a320f061d7cfaddd9905b467b57b7229b6734a294881cb4412fb",
+		events:     "3063cab39f19e7ff28ad4c0f6e06f6b8883c45572f17625936b4c24ac327c8de",
+		tieRecords: "02471ea1107a7481f74abf4805c1b0f796f099126f4a84ed232ebbb0c655603e",
+		tieEvents:  "ef8f9c6534f43ac0a2fc90efb922b84a645ae710bc6e2b050038c26e6d1d83be"},
+	{name: "PREMA", system: func() policy.System { return policy.NewPREMA() },
+		records:    "524a0feee67780afc038e5ed2e17b9a22d5e655a0de03c21c69f638ee9610bfd",
+		events:     "8026b9cd0b7812a57c7a71a3e6e84d87e56257238f18790e6e01b07d3d366380",
+		tieRecords: "886baa513e1c10b81dace53d420fbd74c9468b21d64512fa1f03185c17320844",
+		tieEvents:  "160ba6c5485a17ee7cd2d3300e17885c625144aeab208001d24bda85a69e98d3"},
+	{name: "REEF", system: func() policy.System { return policy.NewREEF() },
+		records:    "05fb521e82f4e89473182eb13b8d0899493678752ad782bfe303958622559d12",
+		events:     "6f94d920cfaaba3fa9e254c341e3ba59693009bb1bff1319ee65b4ef3b5dbac1",
+		tieRecords: "1fefccfa5b30b5e26318b5724cf4cdc75b8302310e8023692da22bab1bb24f5c",
+		tieEvents:  "a71d911e9445870ca6871a7480ad0d1952ba61827117aedf070a8e1fb8896e67"},
+	{name: "RT-A", system: func() policy.System { return policy.NewRTA() },
+		records:    "b6d867030d482e3bae3310fe53bd7f5728a43f6c7c86fe830f226f01b62cc4ef",
+		events:     "21952840f00cc93ff6067fbb57f1251be673e71ff4af80a80a048db81fd2270e",
+		tieRecords: "939d9e08ca0226ccfd78fb3674ad86d09c01ae5cb0122574af1044d43ba437ee",
+		tieEvents:  "d7c03617fa32ca689374db43b6dd8cf493a34a0bc45b03c4caeb9c02248a22fc"},
+	{name: "Stream-Parallel", system: func() policy.System { return policy.NewStreamParallel() },
+		records:    "89ab3d81e23b4d1d0fbdb6ad535ad2a1cbba3582642be6fe1269be98ecd82b49",
+		events:     "0b52cc2479c035a8689cd5cdb6c452b0112cc97e487784f602554405e67e8a7c",
+		tieRecords: "cf6d6931965f988d8af276a91b23fa5ea60894a7e17e023c70d912d9116791b7",
+		tieEvents:  "569b6cc0b4eddb21ef715166c05836029adf32db45ebd3081754a56d502d025d"},
+}
+
+// checkBaselineDigests runs one baseline over arrivals as a subtest and
+// compares its record and event digests.
+func checkBaselineDigests(t *testing.T, bc baselineCase, name string, arrivals []workload.Arrival, catalog policy.Catalog, records, events string) {
+	t.Run(name, func(t *testing.T) {
+		tr := trace.New()
+		recs := bc.system().Run(arrivals, catalog, tr)
+		if len(recs) != len(arrivals) {
+			t.Fatalf("%d records for %d arrivals", len(recs), len(arrivals))
+		}
+		gotRecs, gotEvents := digest(recs), digest(tr.Events())
+		if gotRecs != records || gotEvents != events {
+			t.Errorf("digests changed:\n\trecords: %q,\n\tevents:  %q,", gotRecs, gotEvents)
+		}
+	})
 }
 
 func anySlice[T any](vals []T) []any {

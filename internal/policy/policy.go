@@ -51,19 +51,6 @@ func NewCatalog(graphs map[string]*model.Graph, plans map[string]*model.SplitPla
 	return c
 }
 
-// BlocksFor returns the block plan SPLIT would execute for the model: the
-// split plan's block times if present, otherwise a single unsplit block.
-func (c Catalog) BlocksFor(name string) []float64 {
-	info := c[name]
-	if info == nil {
-		panic(fmt.Sprintf("policy: unknown model %q", name))
-	}
-	if info.Plan != nil && len(info.Plan.BlockTimesMs) > 0 {
-		return append([]float64(nil), info.Plan.BlockTimesMs...)
-	}
-	return []float64{info.ExtMs}
-}
-
 // Request outcomes beyond successful service, aliasing the shared
 // trace.Reason* vocabulary the serving path's split_drops_total reasons
 // also use, so sim and serve results line up label-for-label.
@@ -153,6 +140,19 @@ func validateArrivals(arrivals []workload.Arrival, catalog Catalog) {
 		}
 	}
 }
+
+// traceFeed streams an arrival trace into a gpusim.Sim for the baseline
+// systems. They ignore client cancels, so arrivals reserve no sequence
+// numbers.
+type traceFeed struct {
+	arrivals []workload.Arrival
+	arrive   func(a *workload.Arrival, now float64)
+}
+
+func (f traceFeed) Len() int                         { return len(f.arrivals) }
+func (f traceFeed) AtMs(i int) float64               { return f.arrivals[i].AtMs }
+func (f traceFeed) Reserved(int) int                 { return 0 }
+func (f traceFeed) Arrive(i int, now float64, _ int) { f.arrive(&f.arrivals[i], now) }
 
 // NewRecord is the Record of a request decided at doneMs with outcome.
 func NewRecord(r *sched.Request, doneMs float64, outcome string) Record {

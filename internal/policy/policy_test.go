@@ -366,29 +366,36 @@ func TestSplitPartialPreemptionProducesStragglers(t *testing.T) {
 	}
 }
 
-func TestCatalogBlocksFor(t *testing.T) {
+// TestEngineSharesBlockPlans pins the plans Arrive hands out: every
+// request of a model aliases the catalog's split plan (or one shared
+// one-block list), a catalog entry replaced by a Deploy gets plans built
+// from the new entry, and an unknown model panics.
+func TestEngineSharesBlockPlans(t *testing.T) {
 	catalog := synthCatalog()
-	if got := catalog.BlocksFor("long"); len(got) != 3 {
-		t.Errorf("long blocks = %v", got)
+	e, err := NewEngine(NewSplit().Config, catalog, false, &splitRun{}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := catalog.BlocksFor("short"); len(got) != 1 || got[0] != 5 {
-		t.Errorf("short blocks = %v", got)
+	a, b := e.Arrive(1, "long", 0, 0), e.Arrive(2, "long", 0, 0)
+	if len(a.BlockTimes) != 3 || &a.BlockTimes[0] != &catalog["long"].Plan.BlockTimesMs[0] ||
+		&b.BlockTimes[0] != &a.BlockTimes[0] {
+		t.Errorf("long requests do not share the catalog plan: %v, %v", a.BlockTimes, b.BlockTimes)
 	}
-	// Returned slice must be a copy.
-	b := catalog.BlocksFor("long")
-	b[0] = 999
-	if catalog.BlocksFor("long")[0] == 999 {
-		t.Error("BlocksFor aliases the plan")
+	c, d := e.Arrive(3, "short", 0, 0), e.Arrive(4, "short", 0, 0)
+	if len(c.BlockTimes) != 1 || c.BlockTimes[0] != 5 || &d.BlockTimes[0] != &c.BlockTimes[0] {
+		t.Errorf("short requests do not share one unsplit block: %v, %v", c.BlockTimes, d.BlockTimes)
 	}
-}
-
-func TestCatalogBlocksForUnknownPanics(t *testing.T) {
+	catalog["long"] = &ModelInfo{Name: "long", Class: model.Long, ExtMs: 30,
+		Plan: &model.SplitPlan{Model: "long", Cuts: []int{1}, BlockTimesMs: []float64{15, 15}}}
+	if r := e.Arrive(5, "long", 0, 0); len(r.BlockTimes) != 2 || r.BlockTimes[0] != 15 {
+		t.Errorf("redeployed long runs stale plan %v", r.BlockTimes)
+	}
 	defer func() {
 		if recover() == nil {
 			t.Error("unknown model did not panic")
 		}
 	}()
-	synthCatalog().BlocksFor("nope")
+	e.Arrive(6, "nope", 0, 0)
 }
 
 func TestValidateArrivalsPanics(t *testing.T) {

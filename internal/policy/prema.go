@@ -168,31 +168,28 @@ func (p *PREMA) Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.Trac
 		})
 	}
 
-	for _, a := range arrivals {
-		a := a
-		sim.At(a.AtMs, func(now float64) {
-			info := catalog[a.Model]
-			prio := p.LongPriority
-			if info.Class == model.Short {
-				prio = p.ShortPriority
-			}
-			r := &premaReq{
-				Record: Record{
-					ID:       a.ID,
-					Model:    a.Model,
-					Class:    info.Class,
-					ArriveMs: now,
-					StartMs:  -1,
-					ExtMs:    info.ExtMs,
-				},
-				remainingMs: info.ExtMs,
-				priority:    prio,
-			}
-			waiting = append(waiting, r)
-			tr.Recordf(now, trace.Arrive, r.ID, r.Model, 0, "prio=%.0f", prio)
-			dispatch(now)
-		})
-	}
+	sim.Stream(traceFeed{arrivals, func(a *workload.Arrival, now float64) {
+		info := catalog[a.Model]
+		prio := p.LongPriority
+		if info.Class == model.Short {
+			prio = p.ShortPriority
+		}
+		r := &premaReq{
+			Record: Record{
+				ID:       a.ID,
+				Model:    a.Model,
+				Class:    info.Class,
+				ArriveMs: now,
+				StartMs:  -1,
+				ExtMs:    info.ExtMs,
+			},
+			remainingMs: info.ExtMs,
+			priority:    prio,
+		}
+		waiting = append(waiting, r)
+		tr.Recordf(now, trace.Arrive, r.ID, r.Model, 0, "prio=%.0f", prio)
+		dispatch(now)
+	}})
 	sim.Run()
 	return sortRecords(records)
 }

@@ -87,53 +87,50 @@ func (r *REEF) Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.Trace
 		})
 	}
 
-	for _, a := range arrivals {
-		a := a
-		sim.At(a.AtMs, func(now float64) {
-			info := catalog[a.Model]
-			q := &reefReq{
-				Record: Record{
-					ID:       a.ID,
-					Model:    a.Model,
-					Class:    info.Class,
-					ArriveMs: now,
-					StartMs:  -1,
-					ExtMs:    info.ExtMs,
-				},
-				remainingMs: info.ExtMs,
-				realtime:    info.Class == model.Short,
-			}
-			tr.Recordf(now, trace.Arrive, q.ID, q.Model, 0, "rt=%v", q.realtime)
-			if q.realtime {
-				rtQueue = append(rtQueue, q)
-				// Kernel-level preemption: kill the running best-effort
-				// request's current kernel immediately.
-				if running != nil && !running.realtime {
-					victim := running
-					elapsed := now - runStart
-					victim.remainingMs -= elapsed
-					victim.remainingMs += r.KernelLossMs // killed kernel redone
-					if victim.remainingMs < 0 {
-						victim.remainingMs = 0
-					}
-					victim.Preemptions++
-					// Close the victim's occupancy span at the kill instant.
-					tr.Recordf(now, trace.EndBlock, victim.ID, victim.Model, 0, "killed")
-					tr.Recordf(now, trace.Preempt, victim.ID, victim.Model, 0, "kernel reset")
-					// Preempted best-effort work resumes at queue head.
-					beQueue = append([]*reefReq{victim}, beQueue...)
-					running = nil
-					version++
-					// Reset-and-relaunch latency before the short starts.
-					sim.After(r.PreemptLatencyMs, dispatch)
-					return
+	sim.Stream(traceFeed{arrivals, func(a *workload.Arrival, now float64) {
+		info := catalog[a.Model]
+		q := &reefReq{
+			Record: Record{
+				ID:       a.ID,
+				Model:    a.Model,
+				Class:    info.Class,
+				ArriveMs: now,
+				StartMs:  -1,
+				ExtMs:    info.ExtMs,
+			},
+			remainingMs: info.ExtMs,
+			realtime:    info.Class == model.Short,
+		}
+		tr.Recordf(now, trace.Arrive, q.ID, q.Model, 0, "rt=%v", q.realtime)
+		if q.realtime {
+			rtQueue = append(rtQueue, q)
+			// Kernel-level preemption: kill the running best-effort
+			// request's current kernel immediately.
+			if running != nil && !running.realtime {
+				victim := running
+				elapsed := now - runStart
+				victim.remainingMs -= elapsed
+				victim.remainingMs += r.KernelLossMs // killed kernel redone
+				if victim.remainingMs < 0 {
+					victim.remainingMs = 0
 				}
-			} else {
-				beQueue = append(beQueue, q)
+				victim.Preemptions++
+				// Close the victim's occupancy span at the kill instant.
+				tr.Recordf(now, trace.EndBlock, victim.ID, victim.Model, 0, "killed")
+				tr.Recordf(now, trace.Preempt, victim.ID, victim.Model, 0, "kernel reset")
+				// Preempted best-effort work resumes at queue head.
+				beQueue = append([]*reefReq{victim}, beQueue...)
+				running = nil
+				version++
+				// Reset-and-relaunch latency before the short starts.
+				sim.After(r.PreemptLatencyMs, dispatch)
+				return
 			}
-			dispatch(now)
-		})
-	}
+		} else {
+			beQueue = append(beQueue, q)
+		}
+		dispatch(now)
+	}})
 	sim.Run()
 	return sortRecords(records)
 }

@@ -73,29 +73,26 @@ func (r *RTA) Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.Tracer
 		})
 	}
 
-	for _, a := range arrivals {
-		a := a
-		sim.At(a.AtMs, func(now float64) {
-			info := catalog[a.Model]
-			q := &req{Record: Record{
-				ID:       a.ID,
-				Model:    a.Model,
-				Class:    info.Class,
-				ArriveMs: now,
-				ExtMs:    info.ExtMs,
-			}}
-			waiting = append(waiting, q)
-			tr.Recordf(now, trace.Arrive, q.ID, q.Model, 0, "")
-			if !busy {
-				// Defer the round launch within the current instant so that
-				// simultaneous arrivals merge into the same round, exactly
-				// as the runtime merges whatever is pending when it builds
-				// the next super-graph.
-				busy = true
-				sim.At(now, startRound)
-			}
-		})
-	}
+	sim.Stream(traceFeed{arrivals, func(a *workload.Arrival, now float64) {
+		info := catalog[a.Model]
+		q := &req{Record: Record{
+			ID:       a.ID,
+			Model:    a.Model,
+			Class:    info.Class,
+			ArriveMs: now,
+			ExtMs:    info.ExtMs,
+		}}
+		waiting = append(waiting, q)
+		tr.Recordf(now, trace.Arrive, q.ID, q.Model, 0, "")
+		if !busy {
+			// Defer the round launch within the current instant so that
+			// simultaneous arrivals merge into the same round, exactly
+			// as the runtime merges whatever is pending when it builds
+			// the next super-graph.
+			busy = true
+			sim.At(now, startRound)
+		}
+	}})
 	sim.Run()
 	return sortRecords(records)
 }

@@ -54,7 +54,8 @@ func (s *Split) Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.Trac
 func (s *Split) RunWithStats(arrivals []workload.Arrival, catalog Catalog, tr *trace.Tracer) ([]Record, FleetStats) {
 	validateArrivals(arrivals, catalog)
 	rn := &splitRun{
-		sim: gpusim.New(),
+		sim:      gpusim.New(),
+		arrivals: arrivals,
 		// One record per arrival; preallocating keeps million-request
 		// sweeps out of the append-regrowth copy path.
 		records: make([]Record, 0, len(arrivals)),
@@ -75,31 +76,53 @@ func (s *Split) RunWithStats(arrivals []workload.Arrival, catalog Catalog, tr *t
 		lane := i
 		rn.timers[i] = func(now float64) { rn.settle(lane, now) }
 	}
-	for _, a := range arrivals {
-		a := a
-		rn.sim.At(a.AtMs, func(now float64) { rn.arrive(a, now) })
-		if a.CancelAtMs > 0 {
-			id := a.ID
-			rn.sim.At(a.CancelAtMs, func(now float64) { eng.Cancel(id, now, "") })
-		}
-	}
+	rn.sim.Stream(rn)
 	rn.sim.Run()
 	return sortRecords(rn.records), eng.Stats(rn.sim.Now())
 }
 
 // splitRun drives one Run: it feeds arrivals and cancellations to the
 // engine at their virtual times, turns each grant into a gpusim boundary
-// timer, and records the engine's outcomes.
+// timer, and records the engine's outcomes. It is the simulator's
+// arrival stream (gpusim.Feed).
 type splitRun struct {
-	eng     *Engine
-	sim     *gpusim.Sim
-	timers  []func(now float64)
-	records []Record
+	eng      *Engine
+	sim      *gpusim.Sim
+	arrivals []workload.Arrival
+	timers   []func(now float64)
+	records  []Record
 }
 
-// arrive passes one arrival through the engine's front door and starts
-// its lane if the lane is idle.
-func (rn *splitRun) arrive(a workload.Arrival, now float64) {
+// Len implements gpusim.Feed.
+func (rn *splitRun) Len() int { return len(rn.arrivals) }
+
+// AtMs implements gpusim.Feed.
+func (rn *splitRun) AtMs(i int) float64 { return rn.arrivals[i].AtMs }
+
+// Reserved implements gpusim.Feed: an arrival with a client cancel
+// reserves the sequence number its cancel event takes.
+func (rn *splitRun) Reserved(i int) int {
+	if rn.arrivals[i].CancelAtMs > 0 {
+		return 1
+	}
+	return 0
+}
+
+// Arrive implements gpusim.Feed: it passes arrival i through the
+// engine's front door and starts its lane if the lane is idle. A client
+// cancel goes on the event heap only now, under its reserved sequence
+// number; one timed before the arrival could only have found an unknown
+// ID, so it is dropped.
+//
+//lint:hotpath the feed loop: every arrival enters the simulator here
+func (rn *splitRun) Arrive(i int, now float64, seq int) {
+	a := &rn.arrivals[i]
+	if a.CancelAtMs > 0 && a.CancelAtMs >= a.AtMs {
+		id := a.ID
+		//lint:ignore hotalloc one callback per client cancel, only for arrivals that carry one
+		rn.sim.AtSeq(a.CancelAtMs, seq+1, func(now float64) { rn.eng.Cancel(id, now, "") })
+	}
+	//lint:ignore hotalloc only an autoscaler actuation appends, refilling activeIDs within the capacity NewEngine gave it
 	if ok, _ := rn.eng.Admit(a.ID, a.Model, now); !ok {
 		// Rejected at the door: never enqueued, never started. The record
 		// keeps per-arrival accounting complete; QoS rates are computed

@@ -106,28 +106,25 @@ func (s *StreamParallel) Run(arrivals []workload.Arrival, catalog Catalog, tr *t
 		})
 	}
 
-	for _, a := range arrivals {
-		a := a
-		sim.At(a.AtMs, func(now float64) {
-			advance(now)
-			info := catalog[a.Model]
-			r := &streamReq{
-				Record: Record{
-					ID:       a.ID,
-					Model:    a.Model,
-					Class:    info.Class,
-					ArriveMs: now,
-					StartMs:  now, // streams launch immediately
-					ExtMs:    info.ExtMs,
-				},
-				remaining: info.ExtMs,
-			}
-			active = append(active, r)
-			tr.Recordf(now, trace.Arrive, r.ID, r.Model, 0, "k=%d", len(active))
-			version++
-			scheduleNextCompletion(now)
-		})
-	}
+	sim.Stream(traceFeed{arrivals, func(a *workload.Arrival, now float64) {
+		advance(now)
+		info := catalog[a.Model]
+		r := &streamReq{
+			Record: Record{
+				ID:       a.ID,
+				Model:    a.Model,
+				Class:    info.Class,
+				ArriveMs: now,
+				StartMs:  now, // streams launch immediately
+				ExtMs:    info.ExtMs,
+			},
+			remaining: info.ExtMs,
+		}
+		active = append(active, r)
+		tr.Recordf(now, trace.Arrive, r.ID, r.Model, 0, "k=%d", len(active))
+		version++
+		scheduleNextCompletion(now)
+	}})
 	sim.Run()
 	return sortRecords(records)
 }

@@ -6,18 +6,24 @@ import (
 	"split/internal/model"
 )
 
-// assertNoLeakedSlots fails if any backing-array slot beyond the queue's
-// live window still references a request. Every shrink path — PopFront,
-// Remove, SweepExpired, compact — must nil the slots it vacates, or the
-// array retains departed *Requests until it is reallocated (the
-// slot-retention leak class).
+// assertNoLeakedSlots fails if any backing-array slot outside the queue's
+// live window still references a request: ahead of it (slots PopFront
+// freed, which later insertions reuse) or past it. Every shrink path —
+// PopFront, Remove, SweepExpired, and the window move in grow — must nil
+// the slots it vacates, or the array retains departed *Requests until it
+// is reallocated (the slot-retention leak class).
 func assertNoLeakedSlots(t *testing.T, q *Queue) {
 	t.Helper()
-	tail := q.reqs[len(q.reqs):cap(q.reqs)]
-	for i, r := range tail {
-		if r != nil {
-			t.Fatalf("freed slot %d (past live length %d) retains request %d",
-				q.Len()+i, q.Len(), r.ID)
+	head := cap(q.buf) - cap(q.reqs)
+	if head < 0 || len(q.buf) != cap(q.buf) ||
+		(cap(q.reqs) > 0 && &q.buf[head] != &q.reqs[:cap(q.reqs)][0]) {
+		t.Fatalf("live window (len %d, cap %d) is not a window of the backing array (cap %d)",
+			len(q.reqs), cap(q.reqs), cap(q.buf))
+	}
+	for i, r := range q.buf {
+		if (i < head || i >= head+q.Len()) && r != nil {
+			t.Fatalf("freed slot %d (outside live window [%d, %d)) retains request %d",
+				i, head, head+q.Len(), r.ID)
 		}
 	}
 }

@@ -119,36 +119,69 @@ func TestPopFrontReleasesSlot(t *testing.T) {
 	}
 }
 
-// TestPopFrontCompacts pins head-capacity reclamation: sustained pops must
-// eventually move the live requests to a fresh backing array instead of
-// stranding an ever-growing dead head region.
+// TestPopFrontCompacts pins head-capacity reclamation: the slots sustained
+// pops free at the head of the backing array are reused by later
+// insertions instead of stranding an ever-growing dead head region.
 func TestPopFrontCompacts(t *testing.T) {
 	q := NewQueue(4)
-	// A deep queue whose head is drained far below the threshold.
-	for i := 0; i < 4*compactMinPops; i++ {
+	const deep = 128
+	for i := 0; i < deep; i++ {
 		q.PushBack(newReq(i, "m", float64(i), 10))
 	}
-	for q.Len() > compactMinPops/2 {
+	backing := cap(q.buf)
+	for q.Len() > deep/4 {
 		if q.PopFront() == nil {
 			t.Fatal("queue drained early")
 		}
 	}
-	// The compaction invariant: the dead head region never dominates both
-	// the threshold and the live queue.
-	if q.popped >= compactMinPops && q.popped > q.Len() {
-		t.Errorf("popped=%d with len=%d: compaction never ran", q.popped, q.Len())
+	// Refill to the original depth: every request past the array's end
+	// must land in a slot freed at its head.
+	for i := deep; q.Len() < deep; i++ {
+		q.PushBack(newReq(i, "m", float64(i), 10))
+	}
+	if cap(q.buf) != backing {
+		t.Errorf("backing array regrew from %d to %d slots with its head free", backing, cap(q.buf))
 	}
 	// Everything still present and ordered.
-	for i := 0; i < q.Len(); i++ {
-		if q.At(i) == nil {
-			t.Fatalf("nil request at %d after compaction", i)
+	for i := 1; i < q.Len(); i++ {
+		if q.At(i).ID <= q.At(i-1).ID {
+			t.Fatalf("order broken at %d: %d after %d", i, q.At(i).ID, q.At(i-1).ID)
 		}
 	}
+	assertNoLeakedSlots(t, q)
+}
+
+// TestShallowQueueCycleAllocs pins the queue's steady state on a lane that
+// is almost always 0-1 deep: once warm, an insert/pop cycle reuses the
+// backing array and allocates nothing, whether the queue oscillates
+// between 0 and 1 or between 1 and 2.
+func TestShallowQueueCycleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	q := NewQueue(4)
+	a, b := newReq(1, "a", 0, 10), newReq(2, "b", 0, 20)
+	cycle := func() {
+		q.InsertGreedy(0, a)
+		if q.PopFront() != a {
+			t.Fatal("popped the wrong request")
+		}
+	}
+	cycle() // warm-up: the first insertion sizes the backing array
+	if avg := testing.AllocsPerRun(1000, cycle); avg != 0 {
+		t.Errorf("0-1-deep insert/pop cycle: %v allocs/op, want 0", avg)
+	}
+	q.PushBack(b)
+	cycle()
+	if avg := testing.AllocsPerRun(1000, cycle); avg != 0 {
+		t.Errorf("1-2-deep insert/pop cycle: %v allocs/op, want 0", avg)
+	}
+	assertNoLeakedSlots(t, q)
 }
 
 // TestQueueSteadyStateAllocs bounds the per-operation allocations of a
-// sustained push/pop cycle: the compaction heuristic must stay amortized,
-// not copy on every pop.
+// sustained push/pop cycle: moving the live window back over freed head
+// slots must stay amortized, not copy on every pop.
 func TestQueueSteadyStateAllocs(t *testing.T) {
 	q := NewQueue(4)
 	for i := 0; i < 8; i++ {
@@ -162,7 +195,7 @@ func TestQueueSteadyStateAllocs(t *testing.T) {
 		id++
 		q.PushBack(r)
 	})
-	// Each cycle may amortize an append regrowth or a compaction copy, but
+	// Each cycle may amortize an append regrowth or a window move, but
 	// not both at full cost every time.
 	if avg > 1.5 {
 		t.Errorf("steady-state allocs/op = %v, want <= 1.5", avg)

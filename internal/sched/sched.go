@@ -32,7 +32,8 @@ type Request struct {
 	ExtMs float64
 	// BlockTimes is the execution plan: the per-block times the request will
 	// occupy the device for, including splitting overheads. len == 1 means
-	// the request runs unsplit.
+	// the request runs unsplit. The slice is read-only: the scheduling
+	// engine shares one plan among all requests of a model.
 	BlockTimes []float64
 	// Next indexes the next block to execute. Blocks < Next are committed
 	// (executed or in flight).
@@ -189,18 +190,14 @@ type Queue struct {
 	// InsertGreedyExplain's offline decision trace. The queue never emits
 	// on the hot path when Sink is nil, preserving the zero-cost default.
 	Sink trace.Sink
+	// reqs is the live window of the backing array buf: PopFront slices
+	// the head off, and an insertion that finds no room past the window
+	// moves it back to the start of buf before growing the array, so a
+	// 0-1-deep queue cycles through one slot and never reallocates.
+	// Every slot of buf outside the window is nil.
 	reqs []*Request
-	// popped counts PopFront reslices since the backing array was last
-	// reallocated: each one strands a dead slot ahead of the slice pointer
-	// that the GC cannot reclaim until the whole array is dropped, so the
-	// queue compacts once the dead region dominates the live one.
-	popped int
+	buf  []*Request
 }
-
-// compactMinPops is the dead-slot threshold below which PopFront never
-// compacts: small queues churn through their backing array fast enough
-// that copying would cost more than the few stranded slots.
-const compactMinPops = 32
 
 // NewQueue creates an empty queue with the given α.
 func NewQueue(alpha float64) *Queue {
@@ -217,10 +214,9 @@ func (q *Queue) At(i int) *Request { return q.reqs[i] }
 func (q *Queue) Requests() []*Request { return q.reqs }
 
 // PopFront removes and returns the next request to run, or nil when empty.
-// The popped slot is nilled (so the backing array never retains the
-// request) and the backing array is reallocated once the dead head region
-// it strands outgrows the live queue — without both, sustained traffic
-// retains every popped *Request and grows the head region without bound.
+// The popped slot is nilled, so the backing array never retains the
+// request; the next insertion that runs out of room past the live window
+// reuses the slot (see grow).
 //
 //lint:hotpath every device grant starts by popping the queue front
 func (q *Queue) PopFront() *Request {
@@ -230,21 +226,26 @@ func (q *Queue) PopFront() *Request {
 	r := q.reqs[0]
 	q.reqs[0] = nil
 	q.reqs = q.reqs[1:]
-	q.popped++
-	if q.popped >= compactMinPops && q.popped > len(q.reqs) {
-		//lint:ignore hotalloc compaction is the amortized anti-leak reallocation: at most one make per len(queue) pops
-		q.compact()
-	}
 	return r
 }
 
-// compact moves the live requests onto a fresh backing array, releasing
-// the dead head slots stranded by PopFront reslices.
-func (q *Queue) compact() {
-	fresh := make([]*Request, len(q.reqs))
-	copy(fresh, q.reqs)
-	q.reqs = fresh
-	q.popped = 0
+// grow appends one nil slot to the live window. Past the end of the
+// backing array it first moves the window back to the array's start,
+// over the slots PopFront freed, and nils the slots the move vacates; the
+// array is reallocated only when the window already starts there.
+func (q *Queue) grow() {
+	n := len(q.reqs)
+	if n == cap(q.reqs) {
+		if head := cap(q.buf) - cap(q.reqs); head > 0 {
+			copy(q.buf, q.reqs)
+			clear(q.buf[n : head+n])
+			q.reqs = q.buf[:n]
+		}
+	}
+	q.reqs = append(q.reqs, nil)
+	if cap(q.reqs) > cap(q.buf) {
+		q.buf = q.reqs[:cap(q.reqs)]
+	}
 }
 
 // clearTail nils the backing-array slots from index `from` up to the
@@ -252,8 +253,8 @@ func (q *Queue) compact() {
 // forward (Remove, SweepExpired) must run it before reslicing: a vacated
 // tail slot still referencing a departed request is the same pointer-leak
 // class as the PopFront slot retention fixed in the lifecycle-hardening
-// pass, and FuzzQueueLifecycle asserts the whole [len, cap) region stays
-// nil after every operation.
+// pass, and FuzzQueueLifecycle asserts every slot of the backing array
+// outside the live window stays nil after every operation.
 func (q *Queue) clearTail(from int) {
 	for i := from; i < len(q.reqs); i++ {
 		q.reqs[i] = nil
@@ -300,7 +301,8 @@ func (q *Queue) SweepExpired(nowMs float64, predictive bool) []*Request {
 
 // PushBack appends r without any preemption logic (FIFO insertion).
 func (q *Queue) PushBack(r *Request) {
-	q.reqs = append(q.reqs, r)
+	q.grow()
+	q.reqs[len(q.reqs)-1] = r
 }
 
 // SameTypeCount returns how many waiting requests share the model name.
@@ -427,7 +429,7 @@ func swapBeneficial(ahead, behind *Request, alpha float64) bool {
 
 // insertAt inserts r at index pos.
 func (q *Queue) insertAt(pos int, r *Request) {
-	q.reqs = append(q.reqs, nil)
+	q.grow()
 	copy(q.reqs[pos+1:], q.reqs[pos:])
 	q.reqs[pos] = r
 }
